@@ -23,18 +23,12 @@
 //! The conservative default keeps library behaviour unchanged for existing
 //! callers; opting into parallelism is an explicit settings-field or
 //! environment decision.
-//!
-//! Long-running callers (the `rcr-serve` batcher, repeated bench
-//! iterations) can avoid re-spawning threads for every batch with a
-//! [`WorkerPool`]: the same ordered fan-out contract as [`parallel_map`],
-//! but over a fixed set of long-lived worker threads reused across
-//! batches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Mutex;
 
 /// Environment variable consulted by [`resolve_workers`] when a caller
 /// passes `0` ("auto").
@@ -198,156 +192,6 @@ pub trait BatchSolve {
     }
 }
 
-type PoolJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed set of long-lived worker threads reused across batches.
-///
-/// [`parallel_map`] spawns scoped threads per call, which is fine for the
-/// coarse offline workloads it serves but wasteful for a service draining
-/// many small batches per second. `WorkerPool` keeps `workers` threads
-/// parked on a shared queue; [`WorkerPool::execute`] fans a batch across
-/// them with the exact ordered-reassembly contract of [`parallel_map`]:
-/// results land by item index, so output never depends on scheduling.
-///
-/// A pool with `workers <= 1` spawns no threads at all and executes
-/// inline — the serial path stays the same code as one parallel worker.
-/// Dropping the pool closes the queue and joins every thread.
-#[derive(Debug)]
-pub struct WorkerPool {
-    workers: usize,
-    sender: Option<mpsc::Sender<PoolJob>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    /// Creates a pool of `workers` long-lived threads (`0` is resolved
-    /// via [`resolve_workers`]; the result is clamped to at least 1).
-    pub fn new(workers: usize) -> WorkerPool {
-        let workers = resolve_workers(workers).max(1);
-        if workers == 1 {
-            return WorkerPool {
-                workers,
-                sender: None,
-                handles: Vec::new(),
-            };
-        }
-        let (sender, receiver) = mpsc::channel::<PoolJob>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let handles = (0..workers)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::spawn(move || loop {
-                    let job = {
-                        let guard = receiver.lock().expect("runtime: pool queue mutex poisoned");
-                        guard.recv()
-                    };
-                    match job {
-                        // A panicking job must not take the whole pool
-                        // down with it; `execute` re-raises on collect.
-                        Ok(job) => {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                        Err(_) => break, // pool dropped: queue closed
-                    }
-                })
-            })
-            .collect();
-        WorkerPool {
-            workers,
-            sender: Some(sender),
-            handles,
-        }
-    }
-
-    /// The number of worker threads (1 means inline execution).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Applies `f` to every item on the pool and returns the results in
-    /// input order — the persistent-pool counterpart of [`parallel_map`].
-    ///
-    /// Items are claimed from a shared counter exactly as in
-    /// [`parallel_map`], so uneven costs balance across threads while the
-    /// output stays bit-identical to the serial run for deterministic
-    /// `f`. The `'static` bounds exist because the threads outlive the
-    /// call; `execute` itself blocks until the whole batch is done.
-    ///
-    /// # Panics
-    /// Propagates (as a panic) any panic raised by `f`.
-    pub fn execute<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + Sync + 'static,
-        R: Send + 'static,
-        F: Fn(usize, &T) -> R + Send + Sync + 'static,
-    {
-        let n = items.len();
-        let Some(sender) = (if n >= 2 { self.sender.as_ref() } else { None }) else {
-            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        };
-
-        let items = Arc::new(items);
-        let f = Arc::new(f);
-        let next = Arc::new(AtomicUsize::new(0));
-        let (result_tx, result_rx) = mpsc::channel::<(usize, R)>();
-        for _ in 0..self.workers.min(n) {
-            let items = Arc::clone(&items);
-            let f = Arc::clone(&f);
-            let next = Arc::clone(&next);
-            let result_tx = result_tx.clone();
-            let job: PoolJob = Box::new(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                if result_tx.send((i, r)).is_err() {
-                    break;
-                }
-            });
-            sender
-                .send(job)
-                // rcr-lint: allow(no-unwrap-in-lib, reason = "send only fails when every worker died, which itself carries a panic; fail loudly, not silently")
-                .expect("runtime: pool worker threads exited early");
-        }
-        drop(result_tx);
-
-        let mut pairs: Vec<(usize, R)> = Vec::with_capacity(n);
-        while let Ok(pair) = result_rx.recv() {
-            pairs.push(pair);
-        }
-        assert_eq!(
-            pairs.len(),
-            n,
-            "runtime: a pool task panicked before completing its items"
-        );
-        pairs.sort_unstable_by_key(|(i, _)| *i);
-        pairs.into_iter().map(|(_, r)| r).collect()
-    }
-
-    /// Solves a [`BatchSolve`] batch on this pool, returning outputs in
-    /// batch order — [`BatchSolve::solve_batch`] without per-call thread
-    /// spawn. The solver is shared by `Arc` because the pool threads
-    /// outlive the call.
-    pub fn solve_batch_on<S>(&self, solver: Arc<S>, items: Vec<S::Item>) -> Vec<S::Output>
-    where
-        S: BatchSolve + Send + Sync + 'static,
-        S::Item: Send + 'static,
-        S::Output: 'static,
-    {
-        self.execute(items, move |i, item| solver.solve_item(i, item))
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.sender.take(); // closes the queue; workers observe RecvError
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -428,48 +272,6 @@ mod tests {
         if let Some(n) = auto {
             assert!(n >= 1);
         }
-    }
-
-    #[test]
-    fn pool_matches_parallel_map_across_batches() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.workers(), 4);
-        // The same pool handle serves many batches of different shapes.
-        for len in [0usize, 1, 2, 7, 64, 257] {
-            let items: Vec<u64> = (0..len as u64).collect();
-            let via_pool = pool.execute(items.clone(), |i, &x| x * 3 + i as u64);
-            let via_map = parallel_map(&items, 4, |i, &x| x * 3 + i as u64);
-            assert_eq!(via_pool, via_map, "len = {len}");
-        }
-    }
-
-    #[test]
-    fn serial_pool_runs_inline() {
-        let pool = WorkerPool::new(1);
-        assert_eq!(pool.workers(), 1);
-        let out = pool.execute(vec![1i32, 2, 3], |i, &x| x + i as i32);
-        assert_eq!(out, vec![1, 3, 5]);
-    }
-
-    #[test]
-    fn pool_solves_batch_solve_batches() {
-        struct Cube;
-        impl BatchSolve for Cube {
-            type Item = i64;
-            type Output = i64;
-            fn solve_item(&self, index: usize, item: &i64) -> i64 {
-                item * item * item - index as i64
-            }
-        }
-        let pool = WorkerPool::new(3);
-        let solver = Arc::new(Cube);
-        let items: Vec<i64> = (-10..10).collect();
-        let serial = Cube.solve_batch(&items, 1);
-        let pooled = pool.solve_batch_on(Arc::clone(&solver), items.clone());
-        assert_eq!(serial, pooled);
-        // Reuse: a second batch on the same handle.
-        let again = pool.solve_batch_on(solver, items);
-        assert_eq!(serial, again);
     }
 
     #[test]

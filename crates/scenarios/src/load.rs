@@ -109,7 +109,7 @@ pub fn run_scenario(
                     Some(ahead) if !ahead.is_zero() => thread::sleep(ahead),
                     // Behind schedule → submit immediately and catch up,
                     // yielding the core once in a while: a producer that
-                    // busy-loops through a backlog starves the batcher on
+                    // busy-loops through a backlog starves the workers on
                     // small machines, so an unyielding loop measures the
                     // host's core count rather than the admission policy.
                     // Every 8th submission keeps the pressure a firehose

@@ -12,10 +12,14 @@
 //!          ▼                ▼                ▼
 //!    URLLC lane        eMBB lane        mMTC lane
 //!    EDF, batch=1      EDF, coalesce    EDF, coalesce
+//!          │                │                │ batch drained only when
+//!          ▼                ▼                ▼ the class's ready list is empty
+//!    ready list        ready list       ready list
 //!          └────────────────┼────────────────┘
-//!                           │ dynamic batcher (priority + deadlines)
+//!                           │ N workers pull one item at a time,
+//!                           │ URLLC → eMBB → mMTC
 //!                           ▼
-//!              BatchSolve fan-out on WorkerPool
+//!         solve, per-item deadline gate, answer at once
 //!                           │
 //!                           ▼
 //!            SolveResponse {outcome, queue/solve timing}
@@ -26,8 +30,8 @@
 //!   of *solved*, *rejected*, *expired*, or *failed*.
 //! * [`queue`] — per-class priority lanes, earliest-deadline-first,
 //!   bounded depth with explicit rejection instead of silent buffering.
-//! * [`service`] — the batcher thread, the persistent worker pool, the
-//!   in-process [`Client`], graceful draining shutdown.
+//! * [`service`] — the pull-dispatch workers, the in-process [`Client`],
+//!   graceful draining shutdown.
 //! * [`wire`] — line-delimited JSON over TCP (`std::net`, serde-free)
 //!   plus the shared codec.
 //! * [`metrics`] — per-class outcome counters and fixed-bin latency

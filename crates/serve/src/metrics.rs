@@ -145,13 +145,14 @@ pub struct MetricsSnapshot {
     pub lane_depth_high_water: [usize; 3],
     /// Highest total queue depth ever observed.
     pub queue_depth_high_water: usize,
-    /// Enqueue → batch-drain latency of admitted requests.
+    /// Enqueue → solve-start latency of admitted requests (includes any
+    /// wait behind batch siblings).
     pub queue_latency: LatencySummary,
     /// Per-request solver latency.
     pub solve_latency: LatencySummary,
     /// Enqueue → response latency (solved and failed requests).
     pub response_latency: LatencySummary,
-    /// Batches fanned out to the worker pool.
+    /// Batches drained from the lanes.
     pub batches: u64,
     /// Solution-reuse cache counters (all zero when reuse is disabled).
     pub reuse: ReuseCounters,
@@ -231,7 +232,6 @@ pub(crate) struct Metrics {
     pub queue_latency: LatencyHistogram,
     pub solve_latency: LatencyHistogram,
     pub response_latency: LatencyHistogram,
-    pub batches: u64,
 }
 
 impl Metrics {
@@ -247,6 +247,7 @@ impl Metrics {
         &self,
         queue_depth_high_water: usize,
         lane_depth_high_water: [usize; 3],
+        batches: u64,
         reuse: ReuseCounters,
     ) -> MetricsSnapshot {
         let summaries =
@@ -259,7 +260,7 @@ impl Metrics {
             queue_latency: self.queue_latency.summary(),
             solve_latency: self.solve_latency.summary(),
             response_latency: self.response_latency.summary(),
-            batches: self.batches,
+            batches,
             reuse,
         }
     }
@@ -329,6 +330,7 @@ mod tests {
         let snap = m.snapshot(
             7,
             [4, 2, 1],
+            9,
             ReuseCounters {
                 hits: 4,
                 misses: 2,
@@ -346,6 +348,7 @@ mod tests {
         let table = snap.render();
         assert!(table.contains("URLLC"));
         assert!(table.contains("high water: 7"));
+        assert!(table.contains("batches: 9"));
         assert!(table.contains("lane_hw"));
         assert!(table.contains("reuse: hits=4 misses=2 evictions=1"));
     }

@@ -224,7 +224,7 @@ impl<T> Lane<T> {
 }
 
 /// When the deadline-proximity trigger for an entry expiring at
-/// `deadline_at` should wake the batcher: `max_age` ahead of the deadline,
+/// `deadline_at` should wake a worker: `max_age` ahead of the deadline,
 /// so the batch still fires with slack. When that subtraction underflows
 /// (a deadline within `max_age` of the `Instant` epoch) the trigger clamps
 /// to `now` — waking immediately, with whatever slack remains. The old
@@ -364,15 +364,28 @@ impl<T> AdmissionQueue<T> {
     /// [`AdmissionQueue::sweep_expired`] first so a batch never contains
     /// an already-expired entry.
     pub fn next_batch(&mut self, now: Instant, force: bool) -> Option<(QosClass, Vec<Queued<T>>)> {
-        for (rank, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.entries.is_empty() || !(force || lane.ready(now)) {
-                continue;
-            }
-            let take = lane.policy.max_batch.min(lane.entries.len());
-            let batch: Vec<Queued<T>> = lane.entries.drain(..take).collect();
-            return Some((QosClass::ALL[rank], batch));
+        QosClass::ALL.into_iter().find_map(|class| {
+            self.drain_lane(class, now, force)
+                .map(|batch| (class, batch))
+        })
+    }
+
+    /// Drains the next batch from `class`'s lane alone, under the same
+    /// firing rules as [`AdmissionQueue::next_batch`]; `None` when that
+    /// lane is empty or not ready. Lets a caller that holds back some
+    /// classes still visit the others in priority order.
+    pub fn drain_lane(
+        &mut self,
+        class: QosClass,
+        now: Instant,
+        force: bool,
+    ) -> Option<Vec<Queued<T>>> {
+        let lane = &mut self.lanes[class.priority_rank()];
+        if lane.entries.is_empty() || !(force || lane.ready(now)) {
+            return None;
         }
-        None
+        let take = lane.policy.max_batch.min(lane.entries.len());
+        Some(lane.entries.drain(..take).collect())
     }
 
     /// The next instant at which something becomes actionable: a batch
@@ -380,6 +393,17 @@ impl<T> AdmissionQueue<T> {
     /// `None` when the queue is empty. A returned instant `<= now` means
     /// "act immediately".
     pub fn next_wakeup(&self, now: Instant) -> Option<Instant> {
+        self.next_wakeup_among(now, |_| true)
+    }
+
+    /// [`AdmissionQueue::next_wakeup`] over only the lanes whose class
+    /// `include` accepts — for a caller that will not drain the other
+    /// lanes until some event of its own, and so must not spin on them.
+    pub fn next_wakeup_among(
+        &self,
+        now: Instant,
+        include: impl Fn(QosClass) -> bool,
+    ) -> Option<Instant> {
         let mut wake: Option<Instant> = None;
         let mut consider = |t: Instant| {
             wake = Some(match wake {
@@ -387,8 +411,8 @@ impl<T> AdmissionQueue<T> {
                 None => t,
             });
         };
-        for lane in &self.lanes {
-            if lane.entries.is_empty() {
+        for (lane, class) in self.lanes.iter().zip(QosClass::ALL) {
+            if lane.entries.is_empty() || !include(class) {
                 continue;
             }
             if lane.ready(now) {
@@ -793,5 +817,29 @@ mod tests {
         q.enqueue(4, QosClass::Urllc, t0, far(t0)).unwrap();
         let _ = q.next_batch(t0, true);
         assert_eq!(q.depth_high_water(), 5);
+    }
+
+    #[test]
+    fn drain_lane_and_wakeup_skip_held_back_classes() {
+        let mut q = AdmissionQueue::new(&policy(16, 4, 1_000)).unwrap();
+        let t0 = Instant::now();
+        q.enqueue("urllc", QosClass::Urllc, t0, far(t0)).unwrap();
+        for i in 0..4 {
+            q.enqueue(["m0", "m1", "m2", "m3"][i], QosClass::Mmtc, t0, far(t0))
+                .unwrap();
+        }
+        // mMTC is full (ready now); URLLC waits for its age trigger.
+        assert!(q.drain_lane(QosClass::Urllc, t0, false).is_none());
+        assert_eq!(q.next_wakeup(t0), Some(t0));
+        // Holding mMTC back leaves only URLLC's age trigger to wait for.
+        let age = t0 + Duration::from_millis(1);
+        assert_eq!(q.next_wakeup_among(t0, |c| c != QosClass::Mmtc), Some(age));
+        assert_eq!(q.next_wakeup_among(t0, |_| false), None);
+        let batch = q.drain_lane(QosClass::Mmtc, t0, false).unwrap();
+        assert_eq!(batch.len(), 4);
+        // `force` drains a lane that is not ready yet.
+        let urllc = q.drain_lane(QosClass::Urllc, t0, true).unwrap();
+        assert_eq!(urllc[0].item, "urllc");
+        assert!(q.is_empty());
     }
 }

@@ -1,12 +1,26 @@
-//! The long-running solver service: admission → lanes → dynamic batcher
-//! → worker-pool fan-out → responses.
+//! The long-running solver service: admission → lanes → worker-pull
+//! dispatch → responses.
 //!
-//! One batcher thread owns the [`AdmissionQueue`]; submitters (the
-//! in-process [`Client`], or TCP connection threads in [`crate::wire`])
-//! enqueue under a mutex and wake the batcher through a condvar. The
-//! batcher sweeps expired entries, drains the next ready batch, and fans
-//! it across a persistent [`rcr_runtime::WorkerPool`] via the same
-//! [`rcr_runtime::BatchSolve`] seam the offline batch APIs use.
+//! Submitters (the in-process [`Client`], or TCP connection threads in
+//! [`crate::wire`]) enqueue into the [`AdmissionQueue`] under the state
+//! mutex and wake a worker through a condvar. There is no batcher thread:
+//! each of the `workers` threads locks the state, sweeps expired entries,
+//! and takes its next unit of work itself, in class-priority order
+//! (URLLC → eMBB → mMTC):
+//!
+//! * an item from the class's **ready list** — the not-yet-taken items of
+//!   a batch already drained from that lane; else
+//! * a fresh batch drained from the class's lane, if the lane is ready
+//!   (fill, age, or deadline proximity — batch formation stays in the
+//!   queue) and that class's ready list is empty. A batch holding robust
+//!   items is pre-factored ([`robust::plan_batch`]) by the draining
+//!   worker outside the lock before its items join the ready list.
+//!
+//! Work is taken one item at a time, so a URLLC arrival waits for at most
+//! one in-flight solve per worker, never a whole eMBB/mMTC batch. The
+//! ready-list rule keeps admission bounded: at most one drained batch per
+//! class is ever off its lane, so a full lane still means backpressure.
+//! Every item is answered as soon as its own solve finishes.
 //!
 //! **Determinism.** A request's solution depends only on its own problem,
 //! solver, and seed — never on batch composition, lane timing, or worker
@@ -14,10 +28,12 @@
 //! fixed request trace produces bit-identical solver outputs at any
 //! `workers` setting; only timing metrics vary.
 //!
-//! **Deadline safety.** Expiry is checked at enqueue, at every batcher
-//! wakeup, and again after the solve completes; a request whose solve
-//! finished late is answered `Expired`, so a `Solved` response always
-//! means solved *within* its deadline.
+//! **Deadline safety.** Expiry is checked at enqueue, at every worker
+//! pass over the lanes and ready lists, and again after each item's solve
+//! completes; a request whose solve finished late is answered `Expired`,
+//! so a `Solved` response always means solved *within* its deadline.
+//! `queue_time` runs from enqueue to the start of the request's own
+//! solve, so it includes any wait behind batch siblings.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueue, EnqueueRejection, QueuePolicy, Queued};
@@ -32,7 +48,8 @@ use rcr_pso::swarm::PsoSettings;
 use rcr_qos::robust::{self, RobustPlan};
 use rcr_qos::rra::{self, RraProblem, RraSolution};
 use rcr_qos::{QosClass, QosError};
-use rcr_runtime::{seed_stream, BatchSolve, WorkerPool};
+use rcr_runtime::{resolve_workers, seed_stream};
+use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -40,8 +57,9 @@ use std::time::{Duration, Instant};
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Worker threads for batch fan-out: `0` = auto (`RCR_WORKERS`, with
-    /// `auto` resolving to the machine's parallelism, else serial).
+    /// Worker threads pulling work from the lanes: `0` = auto
+    /// (`RCR_WORKERS`, with `auto` resolving to the machine's
+    /// parallelism, else serial).
     pub workers: usize,
     /// Admission and batching policy per class lane.
     pub queue: QueuePolicy,
@@ -73,8 +91,7 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Solver dispatch shared by every batch; `BatchSolve::solve_item` is the
-/// unit the pool fans out.
+/// Solver dispatch shared by every worker.
 #[derive(Debug)]
 struct Engine {
     bnb: BnbSettings,
@@ -82,24 +99,12 @@ struct Engine {
     reuse: Option<ReuseCache>,
 }
 
-/// One item of a drained batch, ready for the pool.
-#[derive(Debug)]
-struct WorkItem {
-    problem: RraProblem,
-    solver: SolverKind,
-    request_id: u64,
-    /// Pre-built robust plan from the batch pre-factor phase; `None` for
-    /// non-robust items (and for robust items whose planning failed — the
-    /// dispatch falls back to an inline plan so the planning error
-    /// surfaces through the normal solve path).
-    plan: Option<RobustPlan>,
-}
-
 impl Engine {
-    fn solve_one(&self, item: &WorkItem) -> Result<RraSolution, QosError> {
+    fn solve_one(&self, job: &Job) -> Result<RraSolution, QosError> {
+        let (solver, problem) = (job.solver, &job.problem);
         if let Some(cache) = &self.reuse {
-            if reuse::cacheable(item.solver) {
-                if let Some(hit) = cache.get(item.solver, &item.problem) {
+            if reuse::cacheable(solver) {
+                if let Some(hit) = cache.get(solver, problem) {
                     // Bit-identical to a fresh solve: the cache only
                     // stores deterministic solver kinds keyed bit-exact.
                     return Ok(hit);
@@ -108,67 +113,133 @@ impl Engine {
                 cache.count_bypass();
             }
         }
-        let result = self.dispatch(item);
+        let result = self.dispatch(job);
         if let (Some(cache), Ok(solution)) = (&self.reuse, &result) {
-            if reuse::cacheable(item.solver) {
-                cache.put(item.solver, &item.problem, solution);
+            if reuse::cacheable(solver) {
+                cache.put(solver, problem, solution);
             }
         }
         result
     }
 
-    fn dispatch(&self, item: &WorkItem) -> Result<RraSolution, QosError> {
-        match item.solver {
-            SolverKind::Greedy => rra::solve_greedy(&item.problem),
-            SolverKind::Exact => rra::solve_exact(&item.problem, &self.bnb),
+    fn dispatch(&self, job: &Job) -> Result<RraSolution, QosError> {
+        let problem = &job.problem;
+        match job.solver {
+            SolverKind::Greedy => rra::solve_greedy(problem),
+            SolverKind::Exact => rra::solve_exact(problem, &self.bnb),
             SolverKind::Pso => {
                 // Per-request stream off the configured base seed: the
                 // same request solves identically in any batch.
                 let settings = PsoSettings {
-                    seed: seed_stream(self.pso.seed, item.request_id),
+                    seed: seed_stream(self.pso.seed, job.id),
                     // Item-level parallelism only: nested swarm fan-out
-                    // would oversubscribe the pool.
+                    // would oversubscribe the workers.
                     workers: 1,
                     ..self.pso
                 };
-                rra::solve_pso(&item.problem, &settings)
+                rra::solve_pso(problem, &settings)
             }
-            SolverKind::Robust => match &item.plan {
+            SolverKind::Robust => match &job.plan {
                 // The batch pre-factor phase already built the KKT
                 // Cholesky; this solve runs the ADMM iterations only.
-                Some(plan) => robust::solve_robust(&item.problem, plan),
-                None => robust::solve_robust_auto(&item.problem),
+                Some(plan) => robust::solve_robust(problem, plan),
+                None => robust::solve_robust_auto(problem),
             },
         }
     }
 }
 
-impl BatchSolve for Engine {
-    type Item = WorkItem;
-    type Output = (Result<RraSolution, QosError>, Duration);
-
-    fn solve_item(&self, _index: usize, item: &WorkItem) -> Self::Output {
-        // rcr-lint: allow(determinism-taint, reason = "per-item wall time is deadline telemetry; the solution payload in .0 is clock-free")
-        let start = Instant::now();
-        let result = self.solve_one(item);
-        (result, start.elapsed())
-    }
-}
-
 /// A queued job: everything needed to answer the request later. The
-/// class lives on the [`Queued`] wrapper, not here.
+/// class and timestamps live on the [`Queued`] wrapper, not here.
 #[derive(Debug)]
 struct Job {
     id: u64,
     solver: SolverKind,
     problem: RraProblem,
     responder: Sender<SolveResponse>,
+    /// Size of the batch the job was drained in (0 while in its lane).
+    batch_size: usize,
+    /// Pre-built robust plan from the batch pre-factor phase; `None` for
+    /// non-robust jobs (and for robust jobs whose planning failed — the
+    /// dispatch falls back to an inline plan so the planning error
+    /// surfaces through the normal solve path).
+    plan: Option<Box<RobustPlan>>,
+}
+
+/// What a worker took from the shared state.
+enum Work {
+    /// Solve and answer one request.
+    Solve(Queued<Job>),
+    /// Pre-factor a freshly drained batch that holds robust jobs, then
+    /// hand its entries to the class's ready list.
+    Plan(QosClass, Vec<Queued<Job>>),
 }
 
 #[derive(Debug)]
 struct State {
     queue: AdmissionQueue<Job>,
+    /// Drained-but-untaken entries per class, indexed by
+    /// [`QosClass::priority_rank`], in the batch's drain order.
+    ready: [VecDeque<Queued<Job>>; 3],
+    /// Classes whose drained batch is being pre-factored outside the lock.
+    planning: [bool; 3],
+    /// Batches drained from the lanes.
+    batches: u64,
     shutdown: bool,
+}
+
+impl State {
+    /// Removes every expired entry, from the lanes and the ready lists.
+    fn sweep_expired(&mut self, now: Instant) -> Vec<Queued<Job>> {
+        let mut expired = self.queue.sweep_expired(now);
+        for ready in &mut self.ready {
+            if ready.iter().any(|entry| entry.deadline_at <= now) {
+                let (dead, live): (VecDeque<_>, _) =
+                    ready.drain(..).partition(|entry| entry.deadline_at <= now);
+                expired.extend(dead);
+                *ready = live;
+            }
+        }
+        expired
+    }
+
+    /// The next unit of work in class-priority order: a ready item, else
+    /// a batch drained from a ready lane whose class has no ready items
+    /// and no batch in planning. `None` when nothing is actionable.
+    fn next_work(&mut self, now: Instant) -> Option<Work> {
+        let force = self.shutdown;
+        for class in QosClass::ALL {
+            let rank = class.priority_rank();
+            if let Some(entry) = self.ready[rank].pop_front() {
+                return Some(Work::Solve(entry));
+            }
+            if self.planning[rank] {
+                continue;
+            }
+            let Some(mut entries) = self.queue.drain_lane(class, now, force) else {
+                continue;
+            };
+            self.batches += 1;
+            let batch_size = entries.len();
+            for entry in &mut entries {
+                entry.item.batch_size = batch_size;
+            }
+            if entries.iter().any(|e| e.item.solver == SolverKind::Robust) {
+                self.planning[rank] = true;
+                return Some(Work::Plan(class, entries));
+            }
+            self.ready[rank].extend(entries);
+            return self.ready[rank].pop_front().map(Work::Solve);
+        }
+        None
+    }
+
+    /// Nothing queued, ready, or in planning.
+    fn idle(&self) -> bool {
+        self.queue.is_empty()
+            && self.ready.iter().all(VecDeque::is_empty)
+            && !self.planning.contains(&true)
+    }
 }
 
 #[derive(Debug)]
@@ -176,17 +247,17 @@ struct Shared {
     state: Mutex<State>,
     wakeup: Condvar,
     metrics: Mutex<Metrics>,
-    pool: WorkerPool,
-    engine: Arc<Engine>,
+    engine: Engine,
 }
 
 impl Shared {
     fn snapshot(&self) -> MetricsSnapshot {
-        let (high_water, lane_high_waters) = {
+        let (high_water, lane_high_waters, batches) = {
             let state = self.state.lock().expect("serve: state mutex poisoned");
             (
                 state.queue.depth_high_water(),
                 state.queue.lane_high_waters(),
+                state.batches,
             )
         };
         let reuse = self
@@ -198,7 +269,7 @@ impl Shared {
         self.metrics
             .lock()
             .expect("serve: metrics mutex poisoned")
-            .snapshot(high_water, lane_high_waters, reuse)
+            .snapshot(high_water, lane_high_waters, batches, reuse)
     }
 }
 
@@ -291,6 +362,8 @@ impl Client {
             solver,
             problem,
             responder: responder.clone(),
+            batch_size: 0,
+            plan: None,
         };
 
         let mut state = self
@@ -308,7 +381,8 @@ impl Client {
             Ok(()) => {
                 drop(state);
                 self.count(class, |c| c.admitted += 1);
-                self.shared.wakeup.notify_all();
+                // One new request: one idle worker is enough to act on it.
+                self.shared.wakeup.notify_one();
             }
             Err(EnqueueRejection::QueueFull {
                 depth, capacity, ..
@@ -355,15 +429,15 @@ impl Client {
 }
 
 /// The running service; dropping it (or calling [`Service::shutdown`])
-/// drains the queue and joins the batcher.
+/// drains the queue and joins the workers.
 #[derive(Debug)]
 pub struct Service {
     shared: Arc<Shared>,
-    batcher: Option<std::thread::JoinHandle<()>>,
+    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Service {
-    /// Spawns the batcher thread and worker pool.
+    /// Spawns the worker threads.
     ///
     /// # Errors
     /// [`ServeError::InvalidPolicy`] if the queue policy is invalid
@@ -372,29 +446,30 @@ impl Service {
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queue: AdmissionQueue::new(&config.queue)?,
+                ready: Default::default(),
+                planning: [false; 3],
+                batches: 0,
                 shutdown: false,
             }),
             wakeup: Condvar::new(),
             metrics: Mutex::new(Metrics::default()),
-            pool: WorkerPool::new(config.workers),
-            engine: Arc::new(Engine {
+            engine: Engine {
                 bnb: config.bnb,
                 pso: config.pso,
                 reuse: ReuseCache::from_config(&config.reuse),
-            }),
+            },
         });
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("rcr-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared))
-                // rcr-lint: allow(no-unwrap-in-lib, reason = "spawn fails only on OS resource exhaustion at service startup; the service cannot run without its batcher")
-                .expect("serve: failed to spawn batcher thread")
-        };
-        Ok(Service {
-            shared,
-            batcher: Some(batcher),
-        })
+        let workers = (0..resolve_workers(config.workers).max(1))
+            .map(|_| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name("rcr-serve-worker".into())
+                    .spawn(move || worker_loop(&shared))
+                    // rcr-lint: allow(no-unwrap-in-lib, reason = "spawn fails only on OS resource exhaustion at service startup; the service cannot run without its workers")
+                    .expect("serve: failed to spawn worker thread")
+            })
+            .collect();
+        Ok(Service { shared, workers })
     }
 
     /// A submission handle.
@@ -410,7 +485,7 @@ impl Service {
     }
 
     /// Graceful shutdown: stops admitting, drains every queued request
-    /// (in-flight batches included), joins the batcher, and returns the
+    /// (in-flight solves included), joins the workers, and returns the
     /// final metrics. Unexpired queued requests are *solved*, not
     /// dropped.
     pub fn shutdown(mut self) -> MetricsSnapshot {
@@ -428,7 +503,7 @@ impl Service {
             state.shutdown = true;
         }
         self.shared.wakeup.notify_all();
-        if let Some(handle) = self.batcher.take() {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
@@ -440,24 +515,27 @@ impl Drop for Service {
     }
 }
 
-/// Delivers terminal responses for a set of expired queue entries.
+/// Delivers terminal responses for requests that expired before their
+/// solve started (in a lane or a ready list).
 fn respond_expired(shared: &Shared, expired: Vec<Queued<Job>>, now: Instant) {
-    let mut metrics = shared
-        .metrics
-        .lock()
-        .expect("serve: metrics mutex poisoned");
+    {
+        let mut metrics = shared
+            .metrics
+            .lock()
+            .expect("serve: metrics mutex poisoned");
+        for entry in &expired {
+            metrics.class_mut(entry.class).expired += 1;
+        }
+    }
     for entry in expired {
-        metrics.class_mut(entry.class).expired += 1;
-        let late_by = now.saturating_duration_since(entry.deadline_at);
-        let queue_time = now.saturating_duration_since(entry.enqueued_at);
         let _ = entry.item.responder.send(SolveResponse {
             id: entry.item.id,
             class: entry.class,
             outcome: Outcome::Expired(DeadlineMissed {
                 phase: ExpiryPhase::InQueue,
-                late_by,
+                late_by: now.saturating_duration_since(entry.deadline_at),
             }),
-            queue_time,
+            queue_time: now.saturating_duration_since(entry.enqueued_at),
             solve_time: Duration::ZERO,
         });
     }
@@ -465,127 +543,131 @@ fn respond_expired(shared: &Shared, expired: Vec<Queued<Job>>, now: Instant) {
 
 /// The batch pre-factor phase: plans every robust item's relaxation in
 /// one `rcr_linalg::BatchFactor` pass (batched Gram eigendecompositions
-/// and KKT Cholesky factorizations across the pool's worker count), so the
-/// per-request factorizations amortize over the batch instead of running
-/// inside each item's solve. Items whose planning fails keep `plan: None`
-/// and fall back to the inline path, where the same error surfaces
-/// through the normal solve outcome.
-fn attach_robust_plans(shared: &Shared, items: &mut [WorkItem]) {
-    let robust_idx: Vec<usize> = items
+/// and KKT Cholesky factorizations), so the per-request factorizations
+/// amortize over the batch instead of running inside each item's solve.
+/// It runs inline on the draining worker: the other workers are the
+/// parallelism. Items whose planning fails keep `plan: None` and fall
+/// back to the inline path, where the same error surfaces through the
+/// normal solve outcome.
+fn attach_robust_plans(entries: &mut [Queued<Job>]) {
+    let robust_idx: Vec<usize> = entries
         .iter()
         .enumerate()
-        .filter(|(_, it)| it.solver == SolverKind::Robust)
+        .filter(|(_, e)| e.item.solver == SolverKind::Robust)
         .map(|(i, _)| i)
         .collect();
-    if robust_idx.is_empty() {
-        return;
-    }
-    let problems: Vec<&RraProblem> = robust_idx.iter().map(|&i| &items[i].problem).collect();
-    let plans = robust::plan_batch(&problems, shared.pool.workers());
+    let problems: Vec<&RraProblem> = robust_idx
+        .iter()
+        .map(|&i| &entries[i].item.problem)
+        .collect();
+    let plans = robust::plan_batch(&problems, 1);
     for (&i, plan) in robust_idx.iter().zip(plans) {
-        items[i].plan = plan.ok();
+        entries[i].item.plan = plan.ok().map(Box::new);
     }
 }
 
-/// Solves one drained batch on the pool and answers every entry.
-fn solve_batch(shared: &Shared, entries: Vec<Queued<Job>>) {
-    let drained_at = Instant::now();
-    let batch_size = entries.len();
-    let mut meta = Vec::with_capacity(batch_size);
-    let mut items = Vec::with_capacity(batch_size);
-    for entry in entries {
-        items.push(WorkItem {
-            problem: entry.item.problem,
-            solver: entry.item.solver,
-            request_id: entry.item.id,
-            plan: None,
-        });
-        meta.push((
-            entry.item.id,
-            entry.class,
-            entry.item.responder,
-            entry.enqueued_at,
-            entry.deadline_at,
-        ));
-    }
-    attach_robust_plans(shared, &mut items);
-
-    let engine = Arc::clone(&shared.engine);
-    let outputs = shared.pool.solve_batch_on(engine, items);
-
-    let completed_at = Instant::now();
-    let mut metrics = shared
-        .metrics
-        .lock()
-        .expect("serve: metrics mutex poisoned");
-    metrics.batches += 1;
-    for ((result, solve_time), (id, class, responder, enqueued_at, deadline_at)) in
-        outputs.into_iter().zip(meta)
-    {
-        let queue_time = drained_at.saturating_duration_since(enqueued_at);
+/// Solves one request and answers it, gated on its own deadline.
+fn solve_and_answer(shared: &Shared, entry: Queued<Job>) {
+    let started_at = Instant::now();
+    // A panicking solver answers `Failed` instead of taking the worker,
+    // and with it every later request, down.
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        shared.engine.solve_one(&entry.item)
+    }))
+    .unwrap_or_else(|_| Err(QosError::Solver("solver panicked".into())));
+    let finished_at = Instant::now();
+    let queue_time = started_at.saturating_duration_since(entry.enqueued_at);
+    let solve_time = finished_at.saturating_duration_since(started_at);
+    let response_time = finished_at.saturating_duration_since(entry.enqueued_at);
+    let class = entry.class;
+    let outcome = {
+        let mut metrics = shared
+            .metrics
+            .lock()
+            .expect("serve: metrics mutex poisoned");
         metrics.queue_latency.record(queue_time);
         metrics.solve_latency.record(solve_time);
-        let response_time = completed_at.saturating_duration_since(enqueued_at);
         metrics.response_latency.record(response_time);
         metrics.class_response_mut(class).record(response_time);
-        let outcome = match result {
+        match result {
             // The deadline gate: a late solve is reported as expired, so
             // downstream consumers can rely on "solved ⇒ in time".
-            Ok(_) if completed_at > deadline_at => {
+            Ok(_) if finished_at > entry.deadline_at => {
                 metrics.class_mut(class).expired += 1;
                 Outcome::Expired(DeadlineMissed {
                     phase: ExpiryPhase::AfterSolve,
-                    late_by: completed_at.saturating_duration_since(deadline_at),
+                    late_by: finished_at.saturating_duration_since(entry.deadline_at),
                 })
             }
             Ok(solution) => {
                 metrics.class_mut(class).solved += 1;
                 Outcome::Solved(Solved {
                     solution,
-                    batch_size,
+                    batch_size: entry.item.batch_size,
                 })
             }
             Err(e) => {
                 metrics.class_mut(class).failed += 1;
                 Outcome::Failed(e.to_string())
             }
-        };
-        let _ = responder.send(SolveResponse {
-            id,
-            class,
-            outcome,
-            queue_time,
-            solve_time,
-        });
-    }
+        }
+    };
+    let _ = entry.item.responder.send(SolveResponse {
+        id: entry.item.id,
+        class,
+        outcome,
+        queue_time,
+        solve_time,
+    });
 }
 
-fn batcher_loop(shared: &Shared) {
+/// One worker: take work in class-priority order until shutdown has
+/// drained everything.
+fn worker_loop(shared: &Shared) {
     let mut state = shared.state.lock().expect("serve: state mutex poisoned");
     loop {
         let now = Instant::now();
-        let expired = state.queue.sweep_expired(now);
-        let force = state.shutdown;
-        let batch = state.queue.next_batch(now, force);
-        let done = state.shutdown && state.queue.is_empty();
-
-        if !expired.is_empty() || batch.is_some() {
-            // Unlock while responding/solving so submitters keep flowing.
+        let expired = state.sweep_expired(now);
+        let work = state.next_work(now);
+        if !expired.is_empty() || work.is_some() {
+            // Unlock while responding/solving so submitters and the other
+            // workers keep flowing.
             drop(state);
             if !expired.is_empty() {
                 respond_expired(shared, expired, now);
             }
-            if let Some((_, entries)) = batch {
-                solve_batch(shared, entries);
-            }
+            let planned = match work {
+                Some(Work::Solve(entry)) => {
+                    solve_and_answer(shared, entry);
+                    None
+                }
+                Some(Work::Plan(class, mut entries)) => {
+                    attach_robust_plans(&mut entries);
+                    Some((class, entries))
+                }
+                None => None,
+            };
             state = shared.state.lock().expect("serve: state mutex poisoned");
+            if let Some((class, entries)) = planned {
+                let rank = class.priority_rank();
+                state.planning[rank] = false;
+                state.ready[rank].extend(entries);
+                shared.wakeup.notify_all();
+            }
             continue;
         }
-        if done {
+        if state.shutdown && state.idle() {
             return;
         }
 
-        state = match state.queue.next_wakeup(now) {
+        // Lanes held back by a batch in planning are not drainable until
+        // the planner hands its items over (and notifies), so they must
+        // not schedule an immediate wakeup.
+        let planning = state.planning;
+        state = match state
+            .queue
+            .next_wakeup_among(now, |class| !planning[class.priority_rank()])
+        {
             None => shared
                 .wakeup
                 .wait(state)
@@ -896,5 +978,205 @@ mod tests {
         );
         let snap = service.shutdown();
         assert_eq!(snap.class(QosClass::Embb).failed, 1);
+    }
+
+    #[test]
+    fn urllc_waits_for_one_inflight_solve_not_a_whole_batch() {
+        // One worker, one full mMTC batch of real Greedy solves. A URLLC
+        // request submitted while the batch is being solved must jump the
+        // batch's remaining items: pull dispatch takes work one item at a
+        // time, in class-priority order.
+        let batch = 8u64;
+        let config = ServiceConfig {
+            workers: 1,
+            queue: QueuePolicy {
+                mmtc: LanePolicy {
+                    capacity: 64,
+                    max_batch: batch as usize,
+                    max_age: Duration::from_secs(10),
+                },
+                ..QueuePolicy::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let service = Service::spawn(config).unwrap();
+        let client = service.client();
+        // One channel for every answer: its order is the answer order.
+        let (tx, rx) = mpsc::channel();
+        for i in 0..batch {
+            client.submit_with(
+                spec_request(i, QosClass::Mmtc, Duration::from_secs(30)),
+                tx.clone(),
+            );
+        }
+        // The batch is being solved once its first answer is out.
+        let first = rx.recv().unwrap();
+        assert_eq!(first.class, QosClass::Mmtc);
+        let urllc_id = 100;
+        client.submit_with(
+            spec_request(urllc_id, QosClass::Urllc, Duration::from_secs(30)),
+            tx,
+        );
+        let order: Vec<SolveResponse> = rx.iter().take(batch as usize).collect();
+        let urllc_at = order
+            .iter()
+            .position(|r| r.id == urllc_id)
+            .expect("URLLC answered");
+        // Answers before the URLLC one: the first plus those that were
+        // in flight when it arrived (one worker ⇒ one, barring a
+        // descheduled test thread).
+        let mmtc_before = 1 + urllc_at;
+        assert!(
+            mmtc_before < batch as usize / 2,
+            "URLLC answered after {mmtc_before} of {batch} batch items"
+        );
+        for r in std::iter::once(&first).chain(&order) {
+            match &r.outcome {
+                Outcome::Solved(s) if r.class == QosClass::Mmtc => {
+                    assert_eq!(s.batch_size, batch as usize)
+                }
+                Outcome::Solved(s) => assert_eq!(s.batch_size, 1),
+                other => panic!("expected Solved, got {other:?}"),
+            }
+        }
+        let snap = service.shutdown();
+        assert_eq!(snap.batches, 2);
+    }
+
+    #[test]
+    fn queue_time_runs_to_solve_start() {
+        // One worker drains a full eMBB batch and solves it item by item:
+        // each item's queue_time includes its siblings' solves, and
+        // queue + solve never exceeds what the client saw.
+        let batch = 6usize;
+        let config = ServiceConfig {
+            workers: 1,
+            queue: QueuePolicy {
+                embb: LanePolicy {
+                    capacity: 64,
+                    max_batch: batch,
+                    max_age: Duration::from_secs(10),
+                },
+                ..QueuePolicy::default()
+            },
+            ..ServiceConfig::default()
+        };
+        let service = Service::spawn(config).unwrap();
+        let client = service.client();
+        let t0 = Instant::now();
+        let tickets: Vec<(Instant, Ticket)> = (0..batch as u64)
+            .map(|i| {
+                let sent = Instant::now();
+                let ticket =
+                    client.submit(spec_request(i, QosClass::Embb, Duration::from_secs(30)));
+                (sent, ticket)
+            })
+            .collect();
+        // Enqueue instants differ by at most the submission span.
+        let span = t0.elapsed();
+        let mut answers = Vec::new();
+        for (sent, ticket) in tickets {
+            let resp = ticket.wait().unwrap();
+            let seen = sent.elapsed();
+            assert!(
+                matches!(resp.outcome, Outcome::Solved(_)),
+                "{:?}",
+                resp.outcome
+            );
+            assert!(
+                resp.queue_time + resp.solve_time <= seen,
+                "queue {:?} + solve {:?} > response {seen:?}",
+                resp.queue_time,
+                resp.solve_time
+            );
+            answers.push(resp);
+        }
+        // The last item to start waited for every sibling's solve.
+        answers.sort_by_key(|r| r.queue_time);
+        let (last, rest) = answers.split_last().unwrap();
+        let siblings: Duration = rest.iter().map(|r| r.solve_time).sum();
+        assert!(
+            last.queue_time + span >= siblings,
+            "queue {:?} excludes sibling solves {siblings:?}",
+            last.queue_time
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn ready_list_gates_draining_and_expires_untaken_items() {
+        let ms = Duration::from_millis(1);
+        let lane = LanePolicy {
+            capacity: 8,
+            max_batch: 2,
+            max_age: Duration::from_secs(10),
+        };
+        let mut state = State {
+            queue: AdmissionQueue::new(&QueuePolicy {
+                embb: lane,
+                mmtc: lane,
+                ..QueuePolicy::default()
+            })
+            .unwrap(),
+            ready: Default::default(),
+            planning: [false; 3],
+            batches: 0,
+            shutdown: false,
+        };
+        let (tx, _rx) = mpsc::channel();
+        let t0 = Instant::now();
+        let mut enqueue = |id: u64, class: QosClass, solver: SolverKind, deadline: Duration| {
+            let problem = ScenarioSpec {
+                users: 3,
+                resource_blocks: 6,
+                seed: id,
+            }
+            .to_problem(class)
+            .unwrap();
+            let job = Job {
+                id,
+                solver,
+                problem,
+                responder: tx.clone(),
+                batch_size: 0,
+                plan: None,
+            };
+            state
+                .queue
+                .enqueue(job, class, t0, t0 + deadline)
+                .map_err(|_| "enqueue refused")
+                .unwrap();
+        };
+        let greedy = SolverKind::Greedy;
+        for id in 1..=4 {
+            enqueue(id, QosClass::Mmtc, greedy, 50 * ms * id as u32);
+        }
+        // A robust eMBB batch is handed out for planning, and its lane
+        // stays held back until the planner returns its items.
+        enqueue(10, QosClass::Embb, SolverKind::Robust, 900 * ms);
+        enqueue(11, QosClass::Embb, SolverKind::Robust, 900 * ms);
+        enqueue(12, QosClass::Embb, greedy, 900 * ms);
+        enqueue(13, QosClass::Embb, greedy, 900 * ms);
+        let taken = |state: &mut State| match state.next_work(t0) {
+            Some(Work::Solve(entry)) => (entry.class, entry.item.id, entry.item.batch_size),
+            Some(Work::Plan(class, entries)) => (class, entries[0].item.id, entries.len()),
+            None => panic!("no work"),
+        };
+        assert_eq!(taken(&mut state), (QosClass::Embb, 10, 2));
+        assert!(state.planning[QosClass::Embb.priority_rank()]);
+        // mMTC: the first item of a drained batch; its sibling waits in
+        // the ready list, and the full lane is not drained meanwhile.
+        assert_eq!(taken(&mut state), (QosClass::Mmtc, 1, 2));
+        assert_eq!(state.queue.lane_depth(QosClass::Mmtc), 2);
+        assert_eq!(state.batches, 2);
+        // The sibling's deadline passes before a worker takes it: it is
+        // swept from the ready list, not solved.
+        let expired = state.sweep_expired(t0 + 120 * ms);
+        let ids: Vec<u64> = expired.iter().map(|e| e.item.id).collect();
+        assert_eq!(ids, [2]);
+        // With the ready list empty, the lane drains again.
+        assert_eq!(taken(&mut state), (QosClass::Mmtc, 3, 2));
+        assert_eq!(state.batches, 3);
+        assert!(!state.idle());
     }
 }

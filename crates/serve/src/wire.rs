@@ -29,7 +29,7 @@ use crate::request::{
 use crate::service::Client;
 use crate::MetricsSnapshot;
 use rcr_qos::QosClass;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -380,11 +380,69 @@ fn accept_loop(listener: &TcpListener, client: &Client, stop: &AtomicBool) {
     }
 }
 
+/// Longest request line the frontend accepts, newline excluded; real
+/// request lines are under 200 bytes. Longer lines are answered with an
+/// error reply and skipped in chunks of at most this size, so one peer
+/// cannot grow the reader's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// One line read by [`read_request_line`].
+#[derive(Debug)]
+enum LineRead {
+    /// End of stream.
+    Eof,
+    /// A line (newline stripped) is in the buffer.
+    Line,
+    /// The line exceeded [`MAX_REQUEST_LINE`] and was skipped.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line into `buf` (a trailing `\r\n` or `\n`
+/// stripped; a final unterminated line counts), holding at most
+/// [`MAX_REQUEST_LINE`] + 1 bytes of it.
+fn read_request_line(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    buf.clear();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(LineRead::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+        return Ok(LineRead::Line);
+    }
+    if buf.len() <= MAX_REQUEST_LINE {
+        return Ok(LineRead::Line);
+    }
+    // Over-long: discard the rest of the line, one bounded chunk at a time.
+    while buf.last() != Some(&b'\n') {
+        buf.clear();
+        if reader.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+            break;
+        }
+    }
+    buf.clear();
+    Ok(LineRead::TooLong)
+}
+
+/// The reply to a line that could not be parsed.
+fn error_line(message: &str) -> String {
+    format!(
+        "{{\"outcome\":\"error\",\"error\":{}}}",
+        json::encode_str(message)
+    )
+}
+
 /// Reads request lines, submits them without waiting (so batches can
 /// form across a pipelined connection), and writes responses back in
-/// request order from a dedicated writer thread.
+/// request order from a dedicated writer thread. Each reply goes out as
+/// one write of `line + "\n"` on a `TCP_NODELAY` socket, so it is not
+/// held back by Nagle's algorithm waiting on the peer's delayed ACK.
 fn handle_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> {
-    let reader = BufReader::new(stream.try_clone()?);
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let (ticket_tx, ticket_rx) = mpsc::channel::<WireReply>();
     let writer_handle = {
         let mut stream = stream;
@@ -392,16 +450,15 @@ fn handle_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> 
             .name("rcr-serve-write".into())
             .spawn(move || -> std::io::Result<()> {
                 for reply in ticket_rx {
-                    let line = match reply {
+                    let mut line = match reply {
                         WireReply::Pending(rx) => match rx.recv() {
                             Ok(response) => encode_response(&response),
                             Err(_) => break, // service gone
                         },
                         WireReply::Immediate(line) => line,
                     };
+                    line.push('\n');
                     stream.write_all(line.as_bytes())?;
-                    stream.write_all(b"\n")?;
-                    stream.flush()?;
                 }
                 Ok(())
             })
@@ -409,22 +466,28 @@ fn handle_connection(stream: TcpStream, client: &Client) -> std::io::Result<()> 
             .expect("serve: failed to spawn writer thread")
     };
 
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match parse_request(&line) {
-            Ok(WireCommand::Solve(request)) => {
-                let (tx, rx) = mpsc::channel();
-                client.submit_with(request, tx);
-                WireReply::Pending(rx)
-            }
-            Ok(WireCommand::Metrics) => WireReply::Immediate(encode_metrics(&client.metrics())),
-            Err(message) => WireReply::Immediate(format!(
-                "{{\"outcome\":\"error\",\"error\":{}}}",
-                json::encode_str(&message)
-            )),
+    let mut buf = Vec::new();
+    loop {
+        let reply = match read_request_line(&mut reader, &mut buf)? {
+            LineRead::Eof => break,
+            LineRead::TooLong => WireReply::Immediate(error_line(&format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes"
+            ))),
+            LineRead::Line => match std::str::from_utf8(&buf) {
+                Err(_) => WireReply::Immediate(error_line("request line is not UTF-8")),
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match parse_request(line) {
+                    Ok(WireCommand::Solve(request)) => {
+                        let (tx, rx) = mpsc::channel();
+                        client.submit_with(request, tx);
+                        WireReply::Pending(rx)
+                    }
+                    Ok(WireCommand::Metrics) => {
+                        WireReply::Immediate(encode_metrics(&client.metrics()))
+                    }
+                    Err(message) => WireReply::Immediate(error_line(&message)),
+                },
+            },
         };
         if ticket_tx.send(reply).is_err() {
             break;
@@ -639,5 +702,100 @@ mod tests {
             .and_then(JsonValue::as_object)
             .expect("mMTC block");
         assert_eq!(mmtc.get_u64("lane_depth_high_water"), Some(7));
+    }
+
+    #[test]
+    fn request_lines_are_bounded() {
+        let long = "x".repeat(3 * MAX_REQUEST_LINE + 10);
+        let exact = "y".repeat(MAX_REQUEST_LINE);
+        let input = format!("a\r\n{long}\nb\n{exact}\nlast");
+        let mut reader = BufReader::with_capacity(4096, input.as_bytes());
+        let mut buf = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match read_request_line(&mut reader, &mut buf).unwrap() {
+                LineRead::Eof => break,
+                LineRead::TooLong => got.push("<too long>".to_string()),
+                LineRead::Line => got.push(String::from_utf8(buf.clone()).unwrap()),
+            }
+        }
+        assert_eq!(got, ["a", "<too long>", "b", exact.as_str(), "last"]);
+    }
+
+    #[test]
+    fn pipelined_connection_gets_one_line_per_request_in_order() {
+        let service = crate::Service::spawn(crate::ServiceConfig {
+            workers: 2,
+            ..crate::ServiceConfig::default()
+        })
+        .unwrap();
+        let frontend = TcpFrontend::bind("127.0.0.1:0", service.client()).unwrap();
+        let mut stream = TcpStream::connect(frontend.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+
+        // Mixed classes so replies finish out of order on the service
+        // side; over-long, non-UTF-8 and malformed lines ride in the middle.
+        let n = 24u64;
+        let mut batch = Vec::new();
+        let mut expected: Vec<Option<u64>> = Vec::new();
+        for id in 0..n {
+            let bad: &[u8] = match id {
+                5 => b"\xff\xfe{}",
+                10 => &[b'z'; MAX_REQUEST_LINE + 1],
+                17 => b"not json",
+                _ => b"",
+            };
+            if !bad.is_empty() {
+                batch.extend_from_slice(bad);
+                batch.push(b'\n');
+                expected.push(None);
+            }
+            let req = SolveRequest {
+                class: QosClass::ALL[(id % 3) as usize],
+                deadline: Duration::from_secs(30),
+                ..request(id)
+            };
+            batch.extend_from_slice(encode_request(&req).unwrap().as_bytes());
+            batch.push(b'\n');
+            expected.push(Some(id));
+        }
+        stream.write_all(&batch).unwrap();
+
+        let mut reader = BufReader::new(stream);
+        for (k, want) in expected.iter().enumerate() {
+            let mut line = Vec::new();
+            reader.read_until(b'\n', &mut line).unwrap();
+            assert_eq!(
+                line.last(),
+                Some(&b'\n'),
+                "reply {k} is not newline-terminated"
+            );
+            let text = std::str::from_utf8(&line[..line.len() - 1]).unwrap();
+            assert!(
+                !text.contains('\n') && !text.is_empty(),
+                "reply {k}: {text:?}"
+            );
+            match want {
+                Some(id) => {
+                    let resp = parse_response(text).unwrap();
+                    assert_eq!(resp.id, *id, "reply {k} out of order");
+                    assert!(matches!(resp.outcome, Outcome::Solved(_)), "{text}");
+                }
+                None => {
+                    let value = json::parse(text).unwrap();
+                    let obj = value.as_object().unwrap();
+                    assert_eq!(
+                        obj.get("outcome").and_then(JsonValue::as_str),
+                        Some("error")
+                    );
+                }
+            }
+        }
+        drop(reader);
+        drop(frontend);
+        let snap = service.shutdown();
+        assert_eq!(snap.total_responses(), n);
     }
 }

@@ -29,11 +29,13 @@ done
 echo "== cargo build --release ==" >&2
 cargo build --release
 
+# --no-fail-fast: a red test binary must not hide the other binaries'
+# results; cargo still exits non-zero when any test failed.
 echo "== cargo test --workspace ==" >&2
-cargo test --workspace -q
+cargo test --workspace -q --no-fail-fast
 
 echo "== cargo test --test integration_serve (service loopback) ==" >&2
-cargo test -q --test integration_serve
+cargo test -q --no-fail-fast --test integration_serve
 
 if [ "$quick" -eq 1 ]; then
   echo "verify.sh: quick gates passed (lint/fmt/clippy/benches skipped)" >&2
@@ -91,7 +93,7 @@ fi
 
 if [ "$scenario_smoke" -eq 1 ]; then
   echo "== scenario smoke (10⁴-request closed-loop replay, exact books) ==" >&2
-  cargo test -q --release --test integration_scenarios scenario_smoke
+  cargo test -q --release --no-fail-fast --test integration_scenarios scenario_smoke
 fi
 
 echo "verify.sh: all gates passed" >&2
