@@ -1,10 +1,12 @@
-//! Regression benchmarks backing the committed `BENCH_7.json` baseline:
+//! Regression benchmarks backing the committed `BENCH_8.json` baseline:
 //! the blocked GEMM microkernel against the naive triple loop, the
 //! blocked factorization layer (Cholesky, the PSD projection's
 //! eigensolver, the batched small-matrix path) against its unblocked /
 //! Jacobi ancestors, the scratch-pooled IBP/CROWN paths against their
 //! allocating ancestors, exact branch-and-bound verification,
-//! warm-started vs cold solves of a drifting QP, and service throughput.
+//! warm-started vs cold solves of a drifting QP, the scratch power
+//! allocation layer against its allocating oracle, and service
+//! throughput.
 //!
 //! Run with JSON output for the gate (pass an absolute path: cargo runs
 //! bench binaries with the package directory, not the workspace root, as
@@ -14,7 +16,7 @@
 //! cargo bench -p rcr-bench --bench bench_kernels --features alloc-count \
 //!     -- --save-json "$PWD/target/bench_current.json"
 //! cargo run -p rcr-bench --bin bench_gate -- \
-//!     target/bench_current.json BENCH_7.json
+//!     target/bench_current.json BENCH_8.json
 //! ```
 //!
 //! All inputs are fixed splitmix64 streams so wall times and (for the
@@ -26,6 +28,11 @@ use rcr_convex::warm::WarmCache;
 use rcr_core::robust::{train_classifier, BlobData, RobustTrainConfig, TrainMode};
 use rcr_kernels::{gemm, gemm_naive, Scratch};
 use rcr_linalg::{BatchFactor, Cholesky, Matrix, SymmetricEigen};
+use rcr_qos::power::{
+    solve_power_into, solve_power_reference, PowerProblem, PowerScratch, PowerSolution,
+};
+use rcr_qos::rra::{EvalScratch, RraProblem, RraSolution};
+use rcr_qos::workload::{Scenario, ScenarioConfig};
 use rcr_qos::QosClass;
 use rcr_serve::{Payload, ScenarioSpec, Service, ServiceConfig, SolveRequest, SolverKind, Ticket};
 use rcr_verify::bounds::{interval_bounds, interval_bounds_scratch};
@@ -359,6 +366,82 @@ fn bench_warm(c: &mut Criterion) {
     group.finish();
 }
 
+/// A served RRA problem (the scenario generator `SolverKind::Greedy`
+/// requests use) and its per-RB max-gain assignment: the power problem
+/// every solver's final `evaluate` hands to the power layer.
+fn greedy_power_problem(users: usize, rbs: usize) -> (RraProblem, Vec<usize>, PowerProblem) {
+    let config = ScenarioConfig {
+        users,
+        resource_blocks: rbs,
+        ..ScenarioConfig::default()
+    };
+    let rra = Scenario::generate(&config, 7).expect("scenario").rra;
+    let owners: Vec<usize> = (0..rbs)
+        .map(|k| {
+            (0..users)
+                .max_by(|&a, &b| {
+                    rra.normalized_gain(a, k)
+                        .total_cmp(&rra.normalized_gain(b, k))
+                })
+                .expect("users")
+        })
+        .collect();
+    let power = PowerProblem {
+        gains: owners
+            .iter()
+            .enumerate()
+            .map(|(k, &u)| rra.normalized_gain(u, k))
+            .collect(),
+        owners: owners.clone(),
+        power_budget: rra.power_budget_w,
+        rb_bandwidth_hz: rra.rb_bandwidth_hz,
+        min_rates_bps: rra.min_rates_bps.clone(),
+    };
+    (rra, owners, power)
+}
+
+/// The power-allocation layer every RRA solver ends in: the allocating
+/// oracle (`solve_power_reference`, one `Vec` per bisection probe) vs
+/// the scratch path (`solve_power_into`, bit-identical output) at the
+/// 3x6 shape the service solves and at 8x32, plus `evaluate_into` on a
+/// warmed scratch. The baseline pins the 3x6 speedup and that the
+/// scratch paths allocate nothing once warm.
+fn bench_power(c: &mut Criterion) {
+    let mut group = c.benchmark_group("power");
+    group.sample_size(20);
+    for &(users, rbs) in &[(3usize, 6usize), (8, 32)] {
+        let (rra, owners, problem) = greedy_power_problem(users, rbs);
+        let shape = format!("{users}x{rbs}");
+        group.bench_function(BenchmarkId::new("reference", &shape), |b| {
+            b.iter(|| {
+                solve_power_reference(black_box(&problem))
+                    .expect("power")
+                    .total_rate_bps
+            })
+        });
+        let mut scratch = PowerScratch::new();
+        let mut out = PowerSolution::empty();
+        group.bench_function(BenchmarkId::new("scratch", &shape), |b| {
+            b.iter(|| {
+                solve_power_into(black_box(&problem), &mut scratch, &mut out).expect("power");
+                out.total_rate_bps
+            })
+        });
+        if users == 3 {
+            let mut scratch = EvalScratch::new();
+            let mut out = RraSolution::empty();
+            group.bench_function(BenchmarkId::new("evaluate_into", &shape), |b| {
+                b.iter(|| {
+                    rra.evaluate_into(black_box(&owners), &mut scratch, &mut out)
+                        .expect("evaluate");
+                    out.total_rate_bps
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 /// Enqueue-to-response throughput for a fixed mixed-class trace through
 /// the service at 2 workers. Worker threads allocate nondeterministically,
 /// so the baseline leaves this entry's allocation count unpinned.
@@ -409,6 +492,7 @@ criterion_group!(
     bench_crown,
     bench_bnb,
     bench_warm,
+    bench_power,
     bench_serve
 );
 criterion_main!(benches);

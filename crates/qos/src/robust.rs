@@ -250,8 +250,7 @@ pub fn solve_robust(problem: &RraProblem, plan: &RobustPlan) -> Result<RraSoluti
             .ok_or_else(|| QosError::InvalidParameter("problem has no users".into()))?;
         owners.push(owner);
     }
-    let best = problem.evaluate(&owners)?;
-    repair_min_rates(problem, &mut owners, best)
+    repair_min_rates(problem, &mut owners)
 }
 
 /// One-shot robust solve: builds the plan inline and solves. Equivalent to

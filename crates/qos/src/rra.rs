@@ -13,7 +13,7 @@
 //! * [`solve_greedy`] — the max-gain baseline with a repair pass.
 
 use crate::channel::Channel;
-use crate::power::{solve_power, PowerProblem, PowerSolution};
+use crate::power::{solve_power, solve_power_into, PowerProblem, PowerScratch, PowerSolution};
 use crate::QosError;
 use rcr_minlp::{BnbSettings, MinlpError, RelaxableProblem, Relaxation};
 use rcr_pso::discrete::{minimize_mixed, DiscreteStrategy, VarSpec};
@@ -47,6 +47,37 @@ pub struct RraSolution {
     pub spectral_efficiency: f64,
     /// Whether all minimum rates are satisfied.
     pub qos_satisfied: bool,
+}
+
+impl RraSolution {
+    /// An empty placeholder (no RBs, zero rate, QoS unmet): the output
+    /// buffer [`RraProblem::evaluate_into`] fills.
+    pub fn empty() -> RraSolution {
+        RraSolution {
+            owners: Vec::new(),
+            power: PowerSolution::empty(),
+            total_rate_bps: 0.0,
+            spectral_efficiency: 0.0,
+            qos_satisfied: false,
+        }
+    }
+}
+
+/// Reusable buffers for [`RraProblem::evaluate_into`]: the power
+/// problem's gains, owners and minimum rates, plus the power solver's
+/// own [`PowerScratch`]. One scratch serves any number of evaluations of
+/// any problem size; nothing carries over between them.
+#[derive(Debug, Clone, Default)]
+pub struct EvalScratch {
+    power_problem: PowerProblem,
+    power: PowerScratch,
+}
+
+impl EvalScratch {
+    /// Empty buffers; the first evaluation sizes them.
+    pub fn new() -> EvalScratch {
+        EvalScratch::default()
+    }
 }
 
 impl RraProblem {
@@ -110,11 +141,30 @@ impl RraProblem {
     }
 
     /// Evaluates a full assignment: inner water-filling power solve with
-    /// the minimum-rate constraints.
+    /// the minimum-rate constraints. One-shot wrapper over
+    /// [`RraProblem::evaluate_into`] with a fresh scratch.
     ///
     /// # Errors
     /// Propagates power-allocation failures and index errors.
     pub fn evaluate(&self, owners: &[usize]) -> Result<RraSolution, QosError> {
+        let mut out = RraSolution::empty();
+        self.evaluate_into(owners, &mut EvalScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`RraProblem::evaluate`] into caller-owned buffers: bit-identical
+    /// to it, and allocation-free on the success path once `scratch` and
+    /// `out` have grown to the problem's size. On error `out` is left
+    /// unspecified.
+    ///
+    /// # Errors
+    /// Propagates power-allocation failures and index errors.
+    pub fn evaluate_into(
+        &self,
+        owners: &[usize],
+        scratch: &mut EvalScratch,
+        out: &mut RraSolution,
+    ) -> Result<(), QosError> {
         if owners.len() != self.resource_blocks() {
             return Err(QosError::InvalidParameter(format!(
                 "{} owners for {} RBs",
@@ -127,26 +177,28 @@ impl RraProblem {
                 "owner index out of range".into(),
             ));
         }
-        let gains: Vec<f64> = owners
-            .iter()
-            .enumerate()
-            .map(|(k, &u)| self.normalized_gain(u, k))
-            .collect();
-        let power = solve_power(&PowerProblem {
-            gains,
-            owners: owners.to_vec(),
-            power_budget: self.power_budget_w,
-            rb_bandwidth_hz: self.rb_bandwidth_hz,
-            min_rates_bps: self.min_rates_bps.clone(),
-        })?;
+        let problem = &mut scratch.power_problem;
+        problem.gains.clear();
+        problem.gains.extend(
+            owners
+                .iter()
+                .enumerate()
+                .map(|(k, &u)| self.normalized_gain(u, k)),
+        );
+        problem.owners.clear();
+        problem.owners.extend_from_slice(owners);
+        problem.power_budget = self.power_budget_w;
+        problem.rb_bandwidth_hz = self.rb_bandwidth_hz;
+        problem.min_rates_bps.clear();
+        problem.min_rates_bps.extend_from_slice(&self.min_rates_bps);
+        solve_power_into(problem, &mut scratch.power, &mut out.power)?;
         let band = self.rb_bandwidth_hz * self.resource_blocks() as f64;
-        Ok(RraSolution {
-            owners: owners.to_vec(),
-            total_rate_bps: power.total_rate_bps,
-            spectral_efficiency: power.total_rate_bps / band,
-            qos_satisfied: power.feasible,
-            power,
-        })
+        out.owners.clear();
+        out.owners.extend_from_slice(owners);
+        out.total_rate_bps = out.power.total_rate_bps;
+        out.spectral_efficiency = out.power.total_rate_bps / band;
+        out.qos_satisfied = out.power.feasible;
+        Ok(())
     }
 
     /// Evaluates many candidate assignments, fanning the independent
@@ -295,10 +347,15 @@ pub fn solve_pso(problem: &RraProblem, settings: &PsoSettings) -> Result<RraSolu
         problem.resource_blocks()
     ];
     let band = problem.rb_bandwidth_hz * problem.resource_blocks() as f64;
+    // One set of buffers serves every fitness call of the swarm.
+    let mut owners = Vec::with_capacity(problem.resource_blocks());
+    let mut scratch = EvalScratch::new();
+    let mut sol = RraSolution::empty();
     let fitness = |x: &[f64]| -> f64 {
-        let owners: Vec<usize> = x.iter().map(|&v| v as usize).collect();
-        match problem.evaluate(&owners) {
-            Ok(sol) => {
+        owners.clear();
+        owners.extend(x.iter().map(|&v| v as usize));
+        match problem.evaluate_into(&owners, &mut scratch, &mut sol) {
+            Ok(()) => {
                 let violation: f64 = sol
                     .power
                     .user_rates_bps
@@ -337,22 +394,24 @@ pub fn solve_greedy(problem: &RraProblem) -> Result<RraSolution, QosError> {
             .ok_or_else(|| QosError::InvalidParameter("problem has no users".into()))?;
         owners.push(owner);
     }
-    let best = problem.evaluate(&owners)?;
-    repair_min_rates(problem, &mut owners, best)
+    repair_min_rates(problem, &mut owners)
 }
 
-/// Repair pass shared by the greedy and robust solvers: while some user
-/// misses its minimum rate, hand the most-deficient user its best-gain
-/// block among those it does not own, re-evaluating after each steal
-/// (bounded by one round per resource block).
+/// Evaluates `owners`, then runs the repair pass shared by the greedy and
+/// robust solvers: while some user misses its minimum rate, hand the
+/// most-deficient user its best-gain block among those it does not own,
+/// re-evaluating after each steal (bounded by one round per resource
+/// block). One [`EvalScratch`] serves every evaluation of the pass.
 ///
 /// # Errors
 /// Propagates evaluation errors.
 pub(crate) fn repair_min_rates(
     problem: &RraProblem,
     owners: &mut [usize],
-    mut best: RraSolution,
 ) -> Result<RraSolution, QosError> {
+    let mut scratch = EvalScratch::new();
+    let mut best = RraSolution::empty();
+    problem.evaluate_into(owners, &mut scratch, &mut best)?;
     for _round in 0..problem.resource_blocks() {
         if best.qos_satisfied {
             break;
@@ -379,8 +438,7 @@ pub(crate) fn repair_min_rates(
             });
         let Some(k) = candidate else { break };
         owners[k] = needy;
-        let sol = problem.evaluate(owners)?;
-        best = sol;
+        problem.evaluate_into(owners, &mut scratch, &mut best)?;
     }
     Ok(best)
 }
@@ -393,6 +451,124 @@ mod tests {
     fn problem(users: usize, rbs: usize, seed: u64, min_rate: f64) -> RraProblem {
         let ch = Channel::generate(&ChannelConfig::default(), users, rbs, seed).unwrap();
         RraProblem::new(ch, 1e-12, 1.0, 180e3, vec![min_rate; users]).unwrap()
+    }
+
+    /// `evaluate` through the allocating oracle power solve.
+    fn evaluate_reference(p: &RraProblem, owners: &[usize]) -> RraSolution {
+        let gains = owners
+            .iter()
+            .enumerate()
+            .map(|(k, &u)| p.normalized_gain(u, k))
+            .collect();
+        let power = crate::power::solve_power_reference(&PowerProblem {
+            gains,
+            owners: owners.to_vec(),
+            power_budget: p.power_budget_w,
+            rb_bandwidth_hz: p.rb_bandwidth_hz,
+            min_rates_bps: p.min_rates_bps.clone(),
+        })
+        .unwrap();
+        let band = p.rb_bandwidth_hz * p.resource_blocks() as f64;
+        RraSolution {
+            owners: owners.to_vec(),
+            total_rate_bps: power.total_rate_bps,
+            spectral_efficiency: power.total_rate_bps / band,
+            qos_satisfied: power.feasible,
+            power,
+        }
+    }
+
+    fn assert_bit_identical(a: &RraSolution, b: &RraSolution) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.owners, b.owners);
+        assert_eq!(bits(&a.power.powers), bits(&b.power.powers));
+        assert_eq!(bits(&a.power.rb_rates_bps), bits(&b.power.rb_rates_bps));
+        assert_eq!(bits(&a.power.user_rates_bps), bits(&b.power.user_rates_bps));
+        assert_eq!(a.total_rate_bps.to_bits(), b.total_rate_bps.to_bits());
+        assert_eq!(
+            a.spectral_efficiency.to_bits(),
+            b.spectral_efficiency.to_bits()
+        );
+        assert_eq!(a.qos_satisfied, b.qos_satisfied);
+        assert_eq!(a.power.feasible, b.power.feasible);
+    }
+
+    #[test]
+    fn evaluate_into_reuses_scratch_bit_identically() {
+        let mut scratch = EvalScratch::new();
+        let mut out = RraSolution::empty();
+        for (users, rbs, seed) in [(3, 6, 1u64), (8, 32, 2), (3, 6, 3), (2, 4, 4)] {
+            let p = problem(users, rbs, seed, 1e5);
+            for shift in 0..users {
+                let owners: Vec<usize> = (0..rbs).map(|k| (k * 7 + shift) % users).collect();
+                p.evaluate_into(&owners, &mut scratch, &mut out).unwrap();
+                assert_bit_identical(&out, &p.evaluate(&owners).unwrap());
+                assert_bit_identical(&out, &evaluate_reference(&p, &owners));
+            }
+        }
+        // A rejected assignment leaves the scratch usable.
+        let p = problem(3, 6, 1, 1e5);
+        assert!(p.evaluate_into(&[0, 1], &mut scratch, &mut out).is_err());
+        p.evaluate_into(&[0, 1, 2, 0, 1, 2], &mut scratch, &mut out)
+            .unwrap();
+        assert_bit_identical(&out, &evaluate_reference(&p, &[0, 1, 2, 0, 1, 2]));
+    }
+
+    /// Greedy, Robust, Exact and PSO answers (owners, total-rate bits) as
+    /// the allocating power solve produced them, per channel seed.
+    type Golden = [(&'static [usize], u64); 4];
+    const SOLVER_GOLDEN: [(u64, Golden); 3] = [
+        (
+            1,
+            [
+                (&[2, 2, 2, 1, 2, 0], 0x4150_0828_0e99_c86a),
+                (&[2, 2, 2, 1, 2, 0], 0x4150_0828_0e99_c86a),
+                (&[2, 0, 2, 1, 2, 2], 0x4150_a584_9aa3_3aa8),
+                (&[2, 0, 1, 1, 2, 2], 0x414c_58a4_140d_f7d0),
+            ],
+        ),
+        (
+            2,
+            [
+                (&[0, 1, 2, 2, 2, 0], 0x4136_8095_893f_8f6c),
+                (&[0, 1, 2, 2, 2, 0], 0x4136_8095_893f_8f6c),
+                (&[0, 1, 2, 2, 2, 0], 0x4136_8095_893f_8f6c),
+                (&[0, 2, 1, 2, 1, 0], 0x4130_edf7_93ae_2c16),
+            ],
+        ),
+        (
+            3,
+            [
+                (&[1, 2, 0, 0, 0, 0], 0x4155_b554_0e03_0702),
+                (&[1, 2, 0, 0, 0, 0], 0x4155_b554_0e03_0702),
+                (&[1, 2, 0, 0, 0, 0], 0x4155_b554_0e03_0702),
+                (&[1, 2, 0, 0, 0, 0], 0x4155_b554_0e03_0702),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn every_solver_answer_matches_the_reference_evaluation() {
+        for (seed, golden) in SOLVER_GOLDEN {
+            let p = problem(3, 6, seed, 1e5);
+            let pso = PsoSettings {
+                swarm_size: 10,
+                max_iter: 15,
+                seed,
+                ..Default::default()
+            };
+            let answers = [
+                solve_greedy(&p).unwrap(),
+                crate::robust::solve_robust_auto(&p).unwrap(),
+                solve_exact(&p, &BnbSettings::default()).unwrap(),
+                solve_pso(&p, &pso).unwrap(),
+            ];
+            for (sol, (owners, total_bits)) in answers.iter().zip(golden) {
+                assert_bit_identical(sol, &evaluate_reference(&p, &sol.owners));
+                assert_eq!(sol.owners, owners, "seed {seed}");
+                assert_eq!(sol.total_rate_bps.to_bits(), total_bits, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,10 @@ use std::time::Duration;
 /// Which RRA solver a request runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SolverKind {
-    /// Greedy max-gain assignment with rate repair — microseconds per
-    /// solve, the default for interactive traffic.
+    /// Greedy max-gain assignment with rate repair, the default for
+    /// interactive traffic. One power allocation per repair round: at 3
+    /// users × 6 RBs a served solve measured 1.9 ms p50 and 13 ms p99
+    /// (release build, 2-vCPU host).
     #[default]
     Greedy,
     /// Exact branch-and-bound over the convex relaxation — optimal with
