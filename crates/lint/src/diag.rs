@@ -1,7 +1,7 @@
 //! Diagnostics and their renderings (human `file:line`, JSON, GitHub
 //! Actions workflow annotations, and SARIF 2.1.0).
 
-use crate::jsonio::{n, obj, s, Value};
+use rcr_json::{encode_str, JsonValue};
 use std::fmt::Write as _;
 
 /// One finding: a rule violation or a malformed pragma.
@@ -62,13 +62,13 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
         let _ = write!(
             out,
             "\n  {{\"rule\":{},\"file\":{},\"line\":{},\"message\":{}",
-            json_str(d.rule),
-            json_str(&d.file),
+            encode_str(d.rule),
+            encode_str(&d.file),
             d.line,
-            json_str(&d.message)
+            encode_str(&d.message)
         );
         if let Some(sym) = &d.symbol {
-            let _ = write!(out, ",\"symbol\":{}", json_str(sym));
+            let _ = write!(out, ",\"symbol\":{}", encode_str(sym));
         }
         out.push('}');
     }
@@ -86,11 +86,11 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
     let mut rule_ids: Vec<&str> = diags.iter().map(|d| d.rule).collect();
     rule_ids.sort_unstable();
     rule_ids.dedup();
-    let rules: Vec<Value> = rule_ids
+    let rules: Vec<JsonValue> = rule_ids
         .into_iter()
         .map(|id| obj(vec![("id", s(id))]))
         .collect();
-    let results: Vec<Value> = diags
+    let results: Vec<JsonValue> = diags
         .iter()
         .map(|d| {
             obj(vec![
@@ -99,7 +99,7 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
                 ("message", obj(vec![("text", s(&d.message))])),
                 (
                     "locations",
-                    Value::Arr(vec![obj(vec![(
+                    JsonValue::Array(vec![obj(vec![(
                         "physicalLocation",
                         obj(vec![
                             ("artifactLocation", obj(vec![("uri", s(&d.file))])),
@@ -120,39 +120,37 @@ pub fn render_sarif(diags: &[Diagnostic]) -> String {
         ("version", s("2.1.0")),
         (
             "runs",
-            Value::Arr(vec![obj(vec![
+            JsonValue::Array(vec![obj(vec![
                 (
                     "tool",
                     obj(vec![(
                         "driver",
-                        obj(vec![("name", s("rcr-lint")), ("rules", Value::Arr(rules))]),
+                        obj(vec![
+                            ("name", s("rcr-lint")),
+                            ("rules", JsonValue::Array(rules)),
+                        ]),
                     )]),
                 ),
-                ("results", Value::Arr(results)),
+                ("results", JsonValue::Array(results)),
             ])]),
         ),
     ]);
     doc.render()
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// An object with its fields sorted by key, so every document the tool
+/// writes (SARIF, baseline, cache) is canonical and diffs cleanly.
+pub(crate) fn obj(mut fields: Vec<(&str, JsonValue)>) -> JsonValue {
+    fields.sort_by_key(|(k, _)| *k);
+    JsonValue::Object(fields.into_iter().collect())
+}
+
+pub(crate) fn s(text: &str) -> JsonValue {
+    JsonValue::String(text.to_string())
+}
+
+pub(crate) fn n(v: u64) -> JsonValue {
+    JsonValue::UInt(v)
 }
 
 #[cfg(test)]
@@ -211,31 +209,43 @@ mod tests {
             },
         ];
         let log = render_sarif(&diags);
-        let v = crate::jsonio::parse(&log).unwrap();
-        assert_eq!(v.get("version").and_then(Value::as_str), Some("2.1.0"));
-        let run = &v.get("runs").unwrap().as_arr().unwrap()[0];
+        let v = rcr_json::parse(&log).unwrap();
+        assert_eq!(v.get("version").and_then(JsonValue::as_str), Some("2.1.0"));
+        let run = &v.get("runs").unwrap().as_array().unwrap()[0];
         let driver = run.get("tool").unwrap().get("driver").unwrap();
-        assert_eq!(driver.get("name").and_then(Value::as_str), Some("rcr-lint"));
+        assert_eq!(
+            driver.get("name").and_then(JsonValue::as_str),
+            Some("rcr-lint")
+        );
         // Two results, but the rule table is deduplicated.
-        assert_eq!(driver.get("rules").unwrap().as_arr().unwrap().len(), 1);
-        let results = run.get("results").unwrap().as_arr().unwrap();
+        assert_eq!(driver.get("rules").unwrap().as_array().unwrap().len(), 1);
+        let results = run.get("results").unwrap().as_array().unwrap();
         assert_eq!(results.len(), 2);
-        let loc = &results[0].get("locations").unwrap().as_arr().unwrap()[0];
+        let loc = &results[0].get("locations").unwrap().as_array().unwrap()[0];
         let phys = loc.get("physicalLocation").unwrap();
         assert_eq!(
             phys.get("artifactLocation")
                 .unwrap()
                 .get("uri")
-                .and_then(Value::as_str),
+                .and_then(JsonValue::as_str),
             Some("crates/qos/src/power.rs")
         );
         assert_eq!(
             phys.get("region")
                 .unwrap()
                 .get("startLine")
-                .and_then(Value::as_u64),
+                .and_then(JsonValue::as_u64),
             Some(12)
         );
+    }
+
+    #[test]
+    fn documents_are_built_with_sorted_keys() {
+        let v = obj(vec![
+            ("z", n(1)),
+            ("a", obj(vec![("y", s("q")), ("b", n(2))])),
+        ]);
+        assert_eq!(v.render(), r#"{"a":{"b":2,"y":"q"},"z":1}"#);
     }
 
     #[test]

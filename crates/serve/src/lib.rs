@@ -71,7 +71,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
 pub mod metrics;
 pub mod queue;
 pub mod request;
@@ -90,6 +89,10 @@ pub use request::{
 pub use reuse::{ReuseConfig, ReuseCounters};
 pub use service::{Client, Service, ServiceConfig, Ticket};
 pub use wire::TcpFrontend;
+
+/// The JSON codec the wire protocol speaks, re-exported under its
+/// historical path.
+pub use rcr_json as json;
 
 use std::fmt;
 

@@ -96,7 +96,10 @@ pub fn parse_request(line: &str) -> Result<WireCommand, String> {
     };
     let users = obj.get_u64("users").unwrap_or(3) as usize;
     let resource_blocks = obj.get_u64("rbs").unwrap_or(6) as usize;
-    let seed = obj.get_u64("seed").unwrap_or(id);
+    let seed = match obj.get("seed") {
+        None => id,
+        Some(seed) => seed.as_u64().ok_or("\"seed\" is not an exact u64")?,
+    };
     Ok(WireCommand::Solve(SolveRequest {
         id,
         class,
@@ -567,6 +570,34 @@ mod tests {
     }
 
     #[test]
+    fn seeds_round_trip_exactly_up_to_u64_max() {
+        for seed in [0, 1 << 53, (1 << 53) + 1, u64::MAX - 1, u64::MAX] {
+            let mut req = request(9);
+            req.payload = Payload::Scenario(ScenarioSpec {
+                users: 3,
+                resource_blocks: 6,
+                seed,
+            });
+            match parse_request(&encode_request(&req).unwrap()).unwrap() {
+                WireCommand::Solve(SolveRequest {
+                    payload: Payload::Scenario(spec),
+                    ..
+                }) => assert_eq!(spec.seed, seed),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_present_seed_that_is_not_an_exact_u64_is_an_error() {
+        for seed in ["-1", "1.5", "1e17", "18446744073709551616", "\"7\"", "null"] {
+            let line = format!(r#"{{"id":3,"class":"embb","deadline_us":100,"seed":{seed}}}"#);
+            let err = parse_request(&line).unwrap_err();
+            assert!(err.contains("seed"), "{seed}: {err}");
+        }
+    }
+
+    #[test]
     fn malformed_requests_are_rejected_with_messages() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"class":"embb","deadline_us":1}"#)
@@ -720,6 +751,52 @@ mod tests {
             }
         }
         assert_eq!(got, ["a", "<too long>", "b", exact.as_str(), "last"]);
+    }
+
+    #[test]
+    fn a_line_of_brackets_is_answered_and_the_connection_keeps_serving() {
+        let service = crate::Service::spawn(crate::ServiceConfig::default()).unwrap();
+        let frontend = TcpFrontend::bind("127.0.0.1:0", service.client()).unwrap();
+        let mut stream = TcpStream::connect(frontend.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        // The longest line the frontend reads, nested far past what a
+        // recursive parser survives on a default thread stack.
+        let mut batch = vec![b'['; MAX_REQUEST_LINE];
+        batch.push(b'\n');
+        let req = SolveRequest {
+            deadline: Duration::from_secs(30),
+            ..request(1)
+        };
+        batch.extend_from_slice(encode_request(&req).unwrap().as_bytes());
+        batch.push(b'\n');
+        stream.write_all(&batch).unwrap();
+
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let value = json::parse(line.trim_end()).unwrap();
+        assert_eq!(
+            value.get("outcome").and_then(JsonValue::as_str),
+            Some("error")
+        );
+        assert!(
+            value
+                .get("error")
+                .and_then(JsonValue::as_str)
+                .unwrap()
+                .contains("nesting"),
+            "{line}"
+        );
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let resp = parse_response(line.trim_end()).unwrap();
+        assert_eq!(resp.id, 1);
+        assert!(matches!(resp.outcome, Outcome::Solved(_)), "{line}");
+        drop(reader);
+        drop(frontend);
+        service.shutdown();
     }
 
     #[test]

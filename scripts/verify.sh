@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The CI gate: release build, complete test suite, formatting, lints.
 # Usage: scripts/verify.sh [--quick] [--bench-smoke] [--scenario-smoke]
-#   --quick        build + tests only (skips rcr-lint, fmt, clippy, and bench compilation)
+#   --quick        build + tests only (skips rcr-lint, fmt, clippy, bench
+#                  compilation, and perfbench's tests)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
 #                  results against the committed BENCH_8.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
@@ -95,5 +96,13 @@ if [ "$scenario_smoke" -eq 1 ]; then
   echo "== scenario smoke (10⁴-request closed-loop replay, exact books) ==" >&2
   cargo test -q --release --no-fail-fast --test integration_scenarios scenario_smoke
 fi
+
+echo "== perfbench tests (the benchmark's view of the public API) ==" >&2
+# The benchmark is a separate Cargo package built against these crates'
+# public API (e.g. `rcr_serve::json`). Running its own tests here makes
+# an API change fail CI instead of the next benchmark run. Same offline
+# release build into `.bench_build/` as perfbench/run.py.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --no-fail-fast \
+  --manifest-path perfbench/Cargo.toml
 
 echo "verify.sh: all gates passed" >&2
