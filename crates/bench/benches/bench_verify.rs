@@ -4,10 +4,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rcr_core::robust::{train_classifier, BlobData, RobustTrainConfig, TrainMode};
 use rcr_linalg::Matrix;
-use rcr_verify::bounds::{interval_bounds, interval_bounds_parallel};
-use rcr_verify::crown::{crown_lower, crown_output_bounds_parallel};
+use rcr_verify::bounds::interval_bounds_scratch;
+use rcr_verify::crown::{crown_lower_scratch, crown_output_bounds};
 use rcr_verify::exact::{verify_complete, BnbSettings};
 use rcr_verify::net::{AffineReluNet, Specification};
+use rcr_verify::Scratch;
 use std::hint::black_box;
 
 fn bench_verifiers(c: &mut Criterion) {
@@ -29,11 +30,27 @@ fn bench_verifiers(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("verify");
     group.sample_size(30);
+    let mut scratch = Scratch::new();
     group.bench_function("ibp", |b| {
-        b.iter(|| interval_bounds(black_box(&net), black_box(&bx)).expect("ibp"))
+        b.iter(|| {
+            let lb = interval_bounds_scratch(black_box(&net), black_box(&bx), 1, &mut scratch)
+                .expect("ibp");
+            let lo = lb.output()[0].0;
+            lb.recycle(&mut scratch);
+            lo
+        })
     });
     group.bench_function("crown", |b| {
-        b.iter(|| crown_lower(black_box(&net), black_box(&bx), &spec).expect("crown"))
+        b.iter(|| {
+            let lb = interval_bounds_scratch(black_box(&net), black_box(&bx), 1, &mut scratch)
+                .expect("ibp");
+            let cb = crown_lower_scratch(black_box(&net), black_box(&bx), &spec, &lb, &mut scratch)
+                .expect("crown");
+            let lower = cb.lower;
+            cb.recycle(&mut scratch);
+            lb.recycle(&mut scratch);
+            lower
+        })
     });
     group.bench_function("exact_bnb", |b| {
         b.iter(|| {
@@ -89,7 +106,10 @@ fn bench_workers(c: &mut Criterion) {
     group.sample_size(20);
     for &workers in &[1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| interval_bounds_parallel(black_box(&net), black_box(&bx), w).expect("ibp"))
+            b.iter(|| {
+                interval_bounds_scratch(black_box(&net), black_box(&bx), w, &mut Scratch::new())
+                    .expect("ibp")
+            })
         });
     }
     group.finish();
@@ -98,9 +118,7 @@ fn bench_workers(c: &mut Criterion) {
     group.sample_size(10);
     for &workers in &[1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                crown_output_bounds_parallel(black_box(&net), black_box(&bx), w).expect("crown")
-            })
+            b.iter(|| crown_output_bounds(black_box(&net), black_box(&bx), w).expect("crown"))
         });
     }
     group.finish();

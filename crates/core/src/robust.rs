@@ -21,10 +21,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rcr_nn::layers::{Activation, ActivationLayer, Layer, Linear};
 use rcr_nn::tensor::Tensor;
-use rcr_verify::bounds::interval_bounds;
-use rcr_verify::crown::crown_lower;
+use rcr_verify::bounds::interval_bounds_scratch;
+use rcr_verify::crown::crown_lower_scratch;
 use rcr_verify::exact::{verify_complete, BnbSettings, Verdict};
 use rcr_verify::net::{AffineReluNet, Specification};
+use rcr_verify::Scratch;
 
 /// Training mode for the classifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,6 +201,7 @@ pub fn train_classifier(
     }
     let mut model = RobustClassifier::new(config.hidden, config.seed)?;
     let n = data.x.len();
+    let mut scratch = Scratch::new();
     for _epoch in 0..config.epochs {
         // Assemble the (possibly relaxation-perturbed) batch.
         let mut batch = Vec::with_capacity(n * 2);
@@ -217,7 +219,8 @@ pub fn train_classifier(
                         (p[0] - config.epsilon, p[0] + config.epsilon),
                         (p[1] - config.epsilon, p[1] + config.epsilon),
                     ];
-                    let cb = crown_lower(&net, &bx, &spec)?;
+                    let ib = interval_bounds_scratch(&net, &bx, 1, &mut scratch)?;
+                    let cb = crown_lower_scratch(&net, &bx, &spec, &ib, &mut scratch)?;
                     // Minimizing corner of the affine minorant.
                     for (d, coeff) in cb.input_coeffs.iter().enumerate() {
                         batch.push(if *coeff >= 0.0 {
@@ -226,6 +229,8 @@ pub fn train_classifier(
                             p[d] + config.epsilon
                         });
                     }
+                    cb.recycle(&mut scratch);
+                    ib.recycle(&mut scratch);
                 }
             }
         }
@@ -276,6 +281,7 @@ pub fn certify(
     let mut gap_ibp = 0.0;
     let mut gap_crown = 0.0;
     let mut gap_count = 0usize;
+    let mut scratch = Scratch::new();
     for (p, &label) in data.x.iter().zip(&data.y) {
         if model.predict(*p)? != label {
             continue;
@@ -288,17 +294,20 @@ pub fn certify(
         ];
 
         // IBP bound of the margin.
-        let ib = interval_bounds(&net, &bx)?;
+        let ib = interval_bounds_scratch(&net, &bx, 1, &mut scratch)?;
         let out = ib.output();
         let ibp_lb = out[label].0 - out[1 - label].1;
         if ibp_lb > 0.0 {
             v_ibp += 1;
         }
-        // CROWN bound.
-        let crown_lb = crown_lower(&net, &bx, &spec)?.lower;
+        // CROWN bound, from the same interval bounds.
+        let cb = crown_lower_scratch(&net, &bx, &spec, &ib, &mut scratch)?;
+        let crown_lb = cb.lower;
         if crown_lb > 0.0 {
             v_crown += 1;
         }
+        cb.recycle(&mut scratch);
+        ib.recycle(&mut scratch);
         // Exact verdict.
         let exact = verify_complete(&net, &bx, &spec, bnb)?;
         if let Verdict::Verified { .. } = exact.verdict {

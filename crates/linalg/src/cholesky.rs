@@ -28,10 +28,10 @@ impl Cholesky {
     ///
     /// Delegates to the blocked right-looking kernel in `rcr-kernels` at
     /// every size: the blocked factorization is bit-identical to the
-    /// historical unblocked loop (kept as [`Cholesky::new_unblocked`]), so
-    /// there is no crossover threshold to tune — blocking degenerates to
-    /// the reference loop for `n` at or below the panel width and wins
-    /// above it.
+    /// historical unblocked loop (kept as the test and bench oracle
+    /// `rcr_kernels::cholesky_unblocked`), so there is no crossover
+    /// threshold to tune — blocking degenerates to the reference loop for
+    /// `n` at or below the panel width and wins above it.
     ///
     /// # Errors
     /// * [`LinalgError::NotSquare`] for non-square input.
@@ -59,46 +59,6 @@ impl Cholesky {
         for i in 0..n {
             for j in (i + 1)..n {
                 l[(i, j)] = 0.0;
-            }
-        }
-        Ok(Cholesky { l })
-    }
-
-    /// The historical unblocked left-looking factorization, retained as the
-    /// bit-identity oracle for [`Cholesky::new`] (equivalence is pinned by
-    /// proptests) and as the baseline leg of the `cholesky/` bench group.
-    ///
-    /// # Errors
-    /// Identical to [`Cholesky::new`], including the reported pivot index.
-    pub fn new_unblocked(a: &Matrix) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        if !a.is_finite() {
-            return Err(LinalgError::NotFinite);
-        }
-        let n = a.rows();
-        let tol = 1e-13 * a.max_abs().max(1.0);
-        let mut l = Matrix::zeros(n, n);
-        for j in 0..n {
-            let mut d = a[(j, j)];
-            for k in 0..j {
-                d -= l[(j, k)] * l[(j, k)];
-            }
-            if d <= tol {
-                return Err(LinalgError::NotPositiveDefinite { pivot: j });
-            }
-            let dj = d.sqrt();
-            l[(j, j)] = dj;
-            for i in (j + 1)..n {
-                let mut s = a[(i, j)];
-                for k in 0..j {
-                    s -= l[(i, k)] * l[(j, k)];
-                }
-                l[(i, j)] = s / dj;
             }
         }
         Ok(Cholesky { l })
@@ -407,6 +367,16 @@ mod tests {
 
     #[test]
     fn blocked_and_unblocked_agree_bitwise_including_pivots() {
+        // The oracle is the unblocked kernel run on a copy of the matrix,
+        // with the tolerance `Cholesky::new` derives.
+        fn unblocked(a: &Matrix) -> Result<Vec<f64>, LinalgError> {
+            let n = a.rows();
+            let mut l = a.as_slice().to_vec();
+            let tol = 1e-13 * a.max_abs().max(1.0);
+            rcr_kernels::cholesky_unblocked(&mut l, n, n, tol)
+                .map_err(|pivot| LinalgError::NotPositiveDefinite { pivot })?;
+            Ok(l)
+        }
         // Deterministic SPD matrix large enough to exercise multiple panels.
         let n = 70;
         let g = Matrix::from_fn(n, n, |i, j| {
@@ -417,12 +387,15 @@ mod tests {
                 + if i == j { 1.0 } else { 0.0 }
         });
         let blocked = Cholesky::new(&a).unwrap();
-        let unblocked = Cholesky::new_unblocked(&a).unwrap();
+        let reference = unblocked(&a).unwrap();
         for i in 0..n {
             for j in 0..n {
+                // The kernel leaves the strict upper triangle untouched;
+                // `Cholesky::new` zeroes it.
+                let want = if j <= i { reference[i * n + j] } else { 0.0 };
                 assert_eq!(
                     blocked.factor()[(i, j)].to_bits(),
-                    unblocked.factor()[(i, j)].to_bits(),
+                    want.to_bits(),
                     "factor mismatch at ({i},{j})"
                 );
             }
@@ -433,7 +406,7 @@ mod tests {
             let mut p = a.clone();
             p[(bad, bad)] = -2.0;
             let eb = Cholesky::new(&p).expect_err("blocked must fail");
-            let eu = Cholesky::new_unblocked(&p).expect_err("unblocked must fail");
+            let eu = unblocked(&p).expect_err("unblocked must fail");
             assert_eq!(eb, eu, "pivot divergence with poisoned diag {bad}");
             assert!(matches!(
                 eb,

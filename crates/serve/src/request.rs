@@ -74,12 +74,32 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
+    /// Largest `users × resource_blocks` a spec may expand to. Specs arrive
+    /// from untrusted wire lines, and expansion costs memory in the cell
+    /// count: `users` rows of `resource_blocks` channel gains, and for
+    /// Robust two dense `(users·rbs)²` matrices (QP and KKT). The cap is
+    /// four times the largest shape the repo solves (8 × 32 = 256 cells),
+    /// which holds each of those matrices to 8 MiB; without it one line
+    /// asking for a million users on a million RBs exhausts the host.
+    pub const MAX_CELLS: usize = 1024;
+
     /// Expands the spec into a concrete [`RraProblem`] whose every user
     /// carries `class`.
     ///
     /// # Errors
-    /// Propagates scenario-generation failures as [`QosError`].
+    /// [`QosError::InvalidParameter`] when `users × resource_blocks`
+    /// exceeds [`ScenarioSpec::MAX_CELLS`], checked before anything is
+    /// allocated; otherwise propagates scenario-generation failures.
     pub fn to_problem(&self, class: QosClass) -> Result<RraProblem, QosError> {
+        let cells = self.users.saturating_mul(self.resource_blocks);
+        if cells > Self::MAX_CELLS {
+            return Err(QosError::InvalidParameter(format!(
+                "{} users × {} RBs is {cells} cells, above the cap of {}",
+                self.users,
+                self.resource_blocks,
+                Self::MAX_CELLS
+            )));
+        }
         let config = ScenarioConfig::single_class(class, self.users, self.resource_blocks);
         Scenario::generate(&config, self.seed).map(|s| s.rra)
     }
@@ -234,6 +254,28 @@ mod tests {
         // Class changes the rate floors.
         let c = spec.to_problem(QosClass::Mmtc).unwrap();
         assert!(c.min_rates_bps[0] < a.min_rates_bps[0]);
+    }
+
+    #[test]
+    fn cell_cap_admits_the_cap_and_refuses_one_more() {
+        let spec = |users, resource_blocks| ScenarioSpec {
+            users,
+            resource_blocks,
+            seed: 1,
+        };
+        let at_cap = spec(1, ScenarioSpec::MAX_CELLS).to_problem(QosClass::Embb);
+        assert_eq!(at_cap.unwrap().resource_blocks(), ScenarioSpec::MAX_CELLS);
+        assert!(spec(8, 32).to_problem(QosClass::Urllc).is_ok());
+        for (users, rbs) in [
+            (1, ScenarioSpec::MAX_CELLS + 1),
+            (ScenarioSpec::MAX_CELLS + 1, 1),
+            (usize::MAX, usize::MAX),
+        ] {
+            match spec(users, rbs).to_problem(QosClass::Embb) {
+                Err(QosError::InvalidParameter(msg)) => assert!(msg.contains("cap"), "{msg}"),
+                other => panic!("{users}×{rbs}: expected the cap error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -94,8 +94,15 @@ pub fn parse_request(line: &str) -> Result<WireCommand, String> {
             SolverKind::from_name(name).ok_or_else(|| format!("unknown solver {name:?}"))?
         }
     };
-    let users = obj.get_u64("users").unwrap_or(3) as usize;
-    let resource_blocks = obj.get_u64("rbs").unwrap_or(6) as usize;
+    let dim = |key: &str, default: usize| match obj.get(key) {
+        None => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| format!("{key:?} is not an exact integer")),
+    };
+    let users = dim("users", 3)?;
+    let resource_blocks = dim("rbs", 6)?;
     let seed = match obj.get("seed") {
         None => id,
         Some(seed) => seed.as_u64().ok_or("\"seed\" is not an exact u64")?,
@@ -202,9 +209,9 @@ pub fn parse_response(line: &str) -> Result<SolveResponse, String> {
                 .and_then(JsonValue::as_array)
                 .ok_or("solved response missing \"owners\"")?
                 .iter()
-                .map(|v| v.as_f64().map(|f| f as usize))
+                .map(|v| v.as_u64().and_then(|n| usize::try_from(n).ok()))
                 .collect::<Option<Vec<usize>>>()
-                .ok_or("non-numeric owner")?;
+                .ok_or("owner is not an exact non-negative integer")?;
             let total_rate_bps = obj
                 .get("total_rate_bps")
                 .and_then(JsonValue::as_f64)
@@ -598,6 +605,18 @@ mod tests {
     }
 
     #[test]
+    fn present_users_or_rbs_that_are_not_exact_integers_are_errors() {
+        for key in ["users", "rbs"] {
+            for value in ["-1", "1.5", "1e17", "18446744073709551616", "\"7\"", "null"] {
+                let line =
+                    format!(r#"{{"id":3,"class":"embb","deadline_us":100,"{key}":{value}}}"#);
+                let err = parse_request(&line).unwrap_err();
+                assert!(err.contains(key), "{key}={value}: {err}");
+            }
+        }
+    }
+
+    #[test]
     fn malformed_requests_are_rejected_with_messages() {
         assert!(parse_request("not json").is_err());
         assert!(parse_request(r#"{"class":"embb","deadline_us":1}"#)
@@ -654,6 +673,22 @@ mod tests {
                 );
                 assert!(s.solution.qos_satisfied);
             }
+            other => panic!("expected Solved, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn owners_that_are_not_exact_non_negative_integers_are_rejected() {
+        for owners in ["[0,-1]", "[1.5]", "[1e300]", "[\"0\"]"] {
+            let line = format!(
+                r#"{{"id":1,"class":"embb","outcome":"solved","owners":{owners},"total_rate_bps":1.0,"spectral_efficiency":1.0,"qos_satisfied":true}}"#
+            );
+            let err = parse_response(&line).unwrap_err();
+            assert!(err.contains("owner"), "{owners}: {err}");
+        }
+        let line = r#"{"id":1,"class":"embb","outcome":"solved","owners":[0,2,1],"total_rate_bps":1.0,"spectral_efficiency":1.0,"qos_satisfied":true}"#;
+        match parse_response(line).unwrap().outcome {
+            Outcome::Solved(s) => assert_eq!(s.solution.owners, vec![0, 2, 1]),
             other => panic!("expected Solved, got {other:?}"),
         }
     }

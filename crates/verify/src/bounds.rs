@@ -69,39 +69,6 @@ impl LayerBounds {
     }
 }
 
-/// Propagates interval bounds through the network.
-///
-/// # Errors
-/// * [`VerifyError::InvalidInput`] for a malformed box.
-/// * [`VerifyError::DimensionMismatch`] when the box width differs from
-///   the network input dimension.
-pub fn interval_bounds(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-) -> Result<LayerBounds, VerifyError> {
-    interval_bounds_parallel(net, input_box, 1)
-}
-
-/// [`interval_bounds`] with the per-layer row sweep fanned out across
-/// `workers` threads (a count as resolved by
-/// [`rcr_runtime::resolve_workers`]).
-///
-/// Rows of one layer are independent and each row's accumulation order is
-/// unchanged, so the result is bit-identical to the serial propagation for
-/// every worker count. Layers stay sequential — each consumes the previous
-/// layer's post-activation box.
-///
-/// # Errors
-/// Same as [`interval_bounds`].
-pub fn interval_bounds_parallel(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-    workers: usize,
-) -> Result<LayerBounds, VerifyError> {
-    let mut scratch = Scratch::new();
-    interval_bounds_scratch(net, input_box, workers, &mut scratch)
-}
-
 /// One affine row of interval arithmetic: the tightest `(lo, hi)` of
 /// `bias + Σ row[c]·x[c]` over the box `cur`. Accumulation order matches
 /// the historical per-row loop exactly (increasing `c`, lo/hi interleaved).
@@ -121,19 +88,24 @@ fn ibp_row(row: &[f64], bias: f64, cur: &[(f64, f64)]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// [`interval_bounds_parallel`] propagating through buffers checked out of
-/// `scratch` — the allocation-free form used per node by branch-and-bound.
-/// Pass the returned [`LayerBounds`] back via [`LayerBounds::recycle`] to
-/// keep the pool warm.
+/// Propagates interval bounds through the network, with each layer's row
+/// sweep fanned out across `workers` threads (a count as resolved by
+/// [`rcr_runtime::resolve_workers`]) and every per-layer buffer checked
+/// out of `scratch`. Pass the returned [`LayerBounds`] back via
+/// [`LayerBounds::recycle`] to keep the pool warm; branch-and-bound does
+/// so once per node.
 ///
-/// The per-layer row sweep writes results in place via
+/// Rows of one layer are independent and each row's accumulation order
+/// is fixed, so the result is bit-identical for every worker count.
+/// Layers stay sequential — each consumes the previous layer's
+/// post-activation box. The row sweep writes results in place via
 /// `rcr_runtime::parallel_map_mut` chunks (no per-row index vector, no
-/// reassembly copy, no per-layer clones), and each row's accumulation
-/// order is unchanged, so results are bit-identical to the historical
-/// serial propagation for every worker count.
+/// reassembly copy, no per-layer clones).
 ///
 /// # Errors
-/// Same as [`interval_bounds`].
+/// * [`VerifyError::InvalidInput`] for a malformed box.
+/// * [`VerifyError::DimensionMismatch`] when the box width differs from
+///   the network input dimension.
 pub fn interval_bounds_scratch(
     net: &AffineReluNet,
     input_box: &[(f64, f64)],
@@ -178,6 +150,13 @@ mod tests {
     use super::*;
     use rcr_linalg::Matrix;
 
+    fn fresh_ibp(
+        net: &AffineReluNet,
+        input_box: &[(f64, f64)],
+    ) -> Result<LayerBounds, VerifyError> {
+        interval_bounds_scratch(net, input_box, 1, &mut Scratch::new())
+    }
+
     fn abs_net() -> AffineReluNet {
         AffineReluNet::new(vec![
             (
@@ -196,7 +175,7 @@ mod tests {
             vec![0.5],
         )])
         .unwrap();
-        let b = interval_bounds(&net, &[(0.0, 1.0), (-1.0, 1.0)]).unwrap();
+        let b = fresh_ibp(&net, &[(0.0, 1.0), (-1.0, 1.0)]).unwrap();
         // 2x₁ − x₂ + 0.5 over the box: [0−1+0.5, 2+1+0.5].
         assert_eq!(b.output()[0], (-0.5, 3.5));
     }
@@ -204,7 +183,7 @@ mod tests {
     #[test]
     fn abs_network_bounds_are_sound_but_loose() {
         let net = abs_net();
-        let b = interval_bounds(&net, &[(-1.0, 1.0)]).unwrap();
+        let b = fresh_ibp(&net, &[(-1.0, 1.0)]).unwrap();
         let (lo, hi) = b.output()[0];
         // True range of |x| over [-1,1] is [0,1]; IBP must contain it.
         assert!(lo <= 0.0 && hi >= 1.0);
@@ -223,7 +202,7 @@ mod tests {
         ])
         .unwrap();
         let input_box = [(-0.5, 0.5), (0.0, 1.0)];
-        let b = interval_bounds(&net, &input_box).unwrap();
+        let b = fresh_ibp(&net, &input_box).unwrap();
         let (lo, hi) = b.output()[0];
         for i in 0..=10 {
             for j in 0..=10 {
@@ -245,17 +224,17 @@ mod tests {
         let net = abs_net();
         // Box entirely positive: the −x branch is stably inactive, the +x
         // branch stably active → 0 unstable.
-        let b = interval_bounds(&net, &[(0.5, 1.0)]).unwrap();
+        let b = fresh_ibp(&net, &[(0.5, 1.0)]).unwrap();
         assert_eq!(b.unstable_count(), 0);
         // Box straddling 0: both neurons unstable.
-        let b = interval_bounds(&net, &[(-1.0, 1.0)]).unwrap();
+        let b = fresh_ibp(&net, &[(-1.0, 1.0)]).unwrap();
         assert_eq!(b.unstable_count(), 2);
     }
 
     #[test]
     fn degenerate_point_box() {
         let net = abs_net();
-        let b = interval_bounds(&net, &[(0.7, 0.7)]).unwrap();
+        let b = fresh_ibp(&net, &[(0.7, 0.7)]).unwrap();
         let (lo, hi) = b.output()[0];
         assert!((lo - 0.7).abs() < 1e-12 && (hi - 0.7).abs() < 1e-12);
     }
@@ -263,8 +242,8 @@ mod tests {
     #[test]
     fn validation() {
         let net = abs_net();
-        assert!(interval_bounds(&net, &[]).is_err());
-        assert!(interval_bounds(&net, &[(1.0, -1.0)]).is_err());
-        assert!(interval_bounds(&net, &[(0.0, 1.0), (0.0, 1.0)]).is_err());
+        assert!(fresh_ibp(&net, &[]).is_err());
+        assert!(fresh_ibp(&net, &[(1.0, -1.0)]).is_err());
+        assert!(fresh_ibp(&net, &[(0.0, 1.0), (0.0, 1.0)]).is_err());
     }
 }

@@ -9,7 +9,7 @@
 //! envelope pair of §II-B. The result is an affine minorant of the
 //! specification over the input box, concretized by interval arithmetic.
 
-use crate::bounds::{interval_bounds, LayerBounds};
+use crate::bounds::{interval_bounds_scratch, LayerBounds};
 use crate::net::{validate_box, AffineReluNet, Specification};
 use crate::VerifyError;
 use rcr_kernels::Scratch;
@@ -26,85 +26,43 @@ pub struct CrownBound {
     pub constant: f64,
 }
 
-/// Computes a CROWN lower bound for `spec` over `input_box`, reusing
+impl CrownBound {
+    /// Returns [`CrownBound::input_coeffs`] to `scratch`, mirroring
+    /// [`LayerBounds::recycle`]: a caller that recycles both is
+    /// allocation-free once the pool is warm. Branch-and-bound calls this
+    /// once per node.
+    pub fn recycle(self, scratch: &mut Scratch) {
+        scratch.give_f64(self.input_coeffs);
+    }
+}
+
+/// Computes a CROWN lower bound for `spec` over `input_box` from
 /// caller-provided interval bounds (so branch-and-bound can pass refined
-/// per-node bounds).
+/// per-node bounds), propagating the backward state through buffers
+/// checked out of `scratch`. The intermediate coefficient vectors
+/// ping-pong through the pool; [`CrownBound::input_coeffs`] is checked
+/// out of it too, so hand the result back via [`CrownBound::recycle`].
+///
+/// Accumulation orders are exactly those of the historical
+/// implementation: the bias dot is a sequential `.sum()`-seeded fold and
+/// the `aᵀW` row combination keeps the increasing-`r` order with the
+/// `ar == 0.0` skip.
 ///
 /// # Errors
 /// * [`VerifyError::InvalidInput`] on malformed box/spec.
 /// * [`VerifyError::DimensionMismatch`] on incompatible dimensions.
-pub fn crown_lower_with_bounds(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-    spec: &Specification,
-    bounds: &LayerBounds,
-) -> Result<CrownBound, VerifyError> {
-    let mut scratch = Scratch::new();
-    crown_lower_with_bounds_scratch(net, input_box, spec, bounds, &mut scratch)
-}
-
-/// [`crown_lower_with_bounds`] propagating the backward state through
-/// buffers checked out of `scratch`. The intermediate coefficient vectors
-/// ping-pong through the pool; only the returned
-/// [`CrownBound::input_coeffs`] vector permanently leaves it. For a fully
-/// allocation-free bound (the branch-and-bound hot path), use
-/// [`crown_lower_value_scratch`].
-///
-/// # Errors
-/// Same as [`crown_lower_with_bounds`].
-pub fn crown_lower_with_bounds_scratch(
+pub fn crown_lower_scratch(
     net: &AffineReluNet,
     input_box: &[(f64, f64)],
     spec: &Specification,
     bounds: &LayerBounds,
     scratch: &mut Scratch,
 ) -> Result<CrownBound, VerifyError> {
-    let (lower, constant, input_coeffs) =
-        crown_backward(net, input_box, &spec.c, spec.offset, bounds, scratch)?;
-    Ok(CrownBound {
-        lower,
-        input_coeffs,
-        constant,
-    })
-}
-
-/// The lower bound of [`crown_lower_with_bounds_scratch`] alone, with
-/// every intermediate buffer returned to `scratch` — zero allocations once
-/// the pool is warm. Branch-and-bound calls this once per node.
-///
-/// # Errors
-/// Same as [`crown_lower_with_bounds`].
-pub fn crown_lower_value_scratch(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-    spec: &Specification,
-    bounds: &LayerBounds,
-    scratch: &mut Scratch,
-) -> Result<f64, VerifyError> {
-    let (lower, _, coeffs) = crown_backward(net, input_box, &spec.c, spec.offset, bounds, scratch)?;
-    scratch.give_f64(coeffs);
-    Ok(lower)
-}
-
-/// Slice-level backward pass shared by the public CROWN entry points:
-/// returns `(lower, constant, input_coeffs)` with `input_coeffs` checked
-/// out of `scratch` (the caller owns it and decides whether to recycle).
-/// Accumulation orders are exactly those of the historical implementation:
-/// the bias dot is a sequential `.sum()`-seeded fold and the `aᵀW` row
-/// combination keeps the increasing-`r` order with the `ar == 0.0` skip.
-fn crown_backward(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-    spec_c: &[f64],
-    spec_offset: f64,
-    bounds: &LayerBounds,
-    scratch: &mut Scratch,
-) -> Result<(f64, f64, Vec<f64>), VerifyError> {
     validate_box(input_box)?;
-    if spec_c.len() != net.output_dim() {
+    if spec.c.len() != net.output_dim() {
         return Err(VerifyError::DimensionMismatch(format!(
             "spec has {} coefficients, network emits {}",
-            spec_c.len(),
+            spec.c.len(),
             net.output_dim()
         )));
     }
@@ -119,9 +77,9 @@ fn crown_backward(
     let depth = net.depth();
     // Backward state: spec ≥ a·h + c where h is the post-activation of
     // layer `li` (initially the output itself).
-    let mut a = scratch.take_f64(spec_c.len(), 0.0);
-    a.copy_from_slice(spec_c);
-    let mut c = spec_offset;
+    let mut a = scratch.take_f64(spec.c.len(), 0.0);
+    a.copy_from_slice(&spec.c);
+    let mut c = spec.offset;
 
     for li in (0..depth).rev() {
         let (w, b) = &net.layers()[li];
@@ -168,67 +126,51 @@ fn crown_backward(
     for (ai, &(lo, hi)) in a.iter().zip(input_box) {
         lower += if *ai >= 0.0 { ai * lo } else { ai * hi };
     }
-    Ok((lower, c, a))
-}
-
-/// Computes a CROWN lower bound, deriving interval bounds internally.
-///
-/// # Errors
-/// Same as [`crown_lower_with_bounds`].
-pub fn crown_lower(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-    spec: &Specification,
-) -> Result<CrownBound, VerifyError> {
-    let bounds = interval_bounds(net, input_box)?;
-    crown_lower_with_bounds(net, input_box, spec, &bounds)
+    Ok(CrownBound {
+        lower,
+        input_coeffs: a,
+        constant: c,
+    })
 }
 
 /// Per-output CROWN bounds `(lo, hi)` via unit specifications (the upper
-/// bound of output `j` is minus the lower bound of `−e_j`).
-///
-/// # Errors
-/// Same as [`crown_lower`].
-pub fn crown_output_bounds(
-    net: &AffineReluNet,
-    input_box: &[(f64, f64)],
-) -> Result<Vec<(f64, f64)>, VerifyError> {
-    crown_output_bounds_parallel(net, input_box, 1)
-}
-
-/// [`crown_output_bounds`] with the per-output-node backward passes fanned
-/// out across `workers` threads (a count as resolved by
-/// [`rcr_runtime::resolve_workers`]).
+/// bound of output `j` is minus the lower bound of `−e_j`), with the
+/// per-output backward passes fanned out across `workers` threads (a
+/// count as resolved by [`rcr_runtime::resolve_workers`]).
 ///
 /// Each output's `±e_j` backward substitutions are independent and share
 /// only the read-only pre-activation bounds, so results are bit-identical
-/// to the serial sweep for every worker count.
+/// for every worker count.
 ///
 /// # Errors
-/// Same as [`crown_lower`].
-pub fn crown_output_bounds_parallel(
+/// Same as [`crown_lower_scratch`].
+pub fn crown_output_bounds(
     net: &AffineReluNet,
     input_box: &[(f64, f64)],
     workers: usize,
 ) -> Result<Vec<(f64, f64)>, VerifyError> {
-    let bounds = interval_bounds(net, input_box)?;
+    let bounds = interval_bounds_scratch(net, input_box, 1, &mut Scratch::new())?;
     let m = net.output_dim();
     let outputs: Vec<usize> = (0..m).collect();
     let per_output = rcr_runtime::parallel_map(&outputs, workers, |_, &j| {
         // Both ±e_j backward passes run through this worker thread's
         // scratch pool: after the first output, no allocations remain.
         crate::with_scratch(|scratch| {
-            let mut c = scratch.take_f64(m, 0.0);
-            c[j] = 1.0;
-            let (lo, _, coeffs) = crown_backward(net, input_box, &c, 0.0, &bounds, scratch)?;
-            scratch.give_f64(coeffs);
-            for v in &mut c {
+            let mut spec = Specification {
+                c: scratch.take_f64(m, 0.0),
+                offset: 0.0,
+            };
+            spec.c[j] = 1.0;
+            let lo = crown_lower_scratch(net, input_box, &spec, &bounds, scratch)?;
+            for v in &mut spec.c {
                 *v = -*v;
             }
-            let (neg_hi, _, coeffs) = crown_backward(net, input_box, &c, 0.0, &bounds, scratch)?;
-            scratch.give_f64(coeffs);
-            scratch.give_f64(c);
-            Ok::<(f64, f64), VerifyError>((lo, -neg_hi))
+            let neg_hi = crown_lower_scratch(net, input_box, &spec, &bounds, scratch)?;
+            let out = (lo.lower, -neg_hi.lower);
+            lo.recycle(scratch);
+            neg_hi.recycle(scratch);
+            scratch.give_f64(spec.c);
+            Ok::<(f64, f64), VerifyError>(out)
         })
     });
     per_output.into_iter().collect()
@@ -258,8 +200,15 @@ pub fn relaxed_certified_radius(
     }
     let ball =
         |eps: f64| -> Vec<(f64, f64)> { center.iter().map(|&c| (c - eps, c + eps)).collect() };
-    let holds = |eps: f64| -> Result<bool, VerifyError> {
-        Ok(crown_lower(net, &ball(eps), spec)?.lower > 0.0)
+    let mut scratch = Scratch::new();
+    let mut holds = |eps: f64| -> Result<bool, VerifyError> {
+        let bx = ball(eps);
+        let ib = interval_bounds_scratch(net, &bx, 1, &mut scratch)?;
+        let cb = crown_lower_scratch(net, &bx, spec, &ib, &mut scratch)?;
+        let certified = cb.lower > 0.0;
+        cb.recycle(&mut scratch);
+        ib.recycle(&mut scratch);
+        Ok(certified)
     };
     if spec.eval(&net.eval(center)?) <= 0.0 {
         return Ok(0.0);
@@ -284,6 +233,23 @@ pub fn relaxed_certified_radius(
 mod tests {
     use super::*;
     use rcr_linalg::Matrix;
+
+    fn fresh_ibp(
+        net: &AffineReluNet,
+        input_box: &[(f64, f64)],
+    ) -> Result<LayerBounds, VerifyError> {
+        interval_bounds_scratch(net, input_box, 1, &mut Scratch::new())
+    }
+
+    fn fresh_crown(
+        net: &AffineReluNet,
+        input_box: &[(f64, f64)],
+        spec: &Specification,
+    ) -> Result<CrownBound, VerifyError> {
+        let mut scratch = Scratch::new();
+        let bounds = interval_bounds_scratch(net, input_box, 1, &mut scratch)?;
+        crown_lower_scratch(net, input_box, spec, &bounds, &mut scratch)
+    }
 
     fn abs_net() -> AffineReluNet {
         AffineReluNet::new(vec![
@@ -327,7 +293,7 @@ mod tests {
     fn exact_for_stable_region() {
         // Box entirely positive: |x| = x exactly; CROWN is exact.
         let net = abs_net();
-        let b = crown_lower(&net, &[(0.5, 1.0)], &spec1()).unwrap();
+        let b = fresh_crown(&net, &[(0.5, 1.0)], &spec1()).unwrap();
         assert!((b.lower - 0.5).abs() < 1e-12);
     }
 
@@ -336,9 +302,9 @@ mod tests {
         let net = abs_net();
         let input_box = [(-1.0, 1.0)];
         // True min of |x| is 0.
-        let cb = crown_lower(&net, &input_box, &spec1()).unwrap();
+        let cb = fresh_crown(&net, &input_box, &spec1()).unwrap();
         assert!(cb.lower <= 0.0 + 1e-12, "must be sound: {}", cb.lower);
-        let ibp = interval_bounds(&net, &input_box).unwrap();
+        let ibp = fresh_ibp(&net, &input_box).unwrap();
         assert!(
             cb.lower >= ibp.output()[0].0 - 1e-12,
             "never looser than IBP here"
@@ -350,7 +316,7 @@ mod tests {
         for seed in 0..5u64 {
             let net = random_net(seed);
             let input_box = [(-0.8, 0.8), (-0.5, 1.0)];
-            let cb = crown_lower(&net, &input_box, &spec1()).unwrap();
+            let cb = fresh_crown(&net, &input_box, &spec1()).unwrap();
             // Exhaustive grid sample: the bound must lie below every value.
             let mut min_seen = f64::INFINITY;
             for i in 0..=24 {
@@ -387,8 +353,8 @@ mod tests {
         ])
         .unwrap();
         let input_box = [(-1.0, 1.0)];
-        let cb = crown_lower(&net, &input_box, &spec1()).unwrap();
-        let ibp = interval_bounds(&net, &input_box).unwrap().output()[0].0;
+        let cb = fresh_crown(&net, &input_box, &spec1()).unwrap();
+        let ibp = fresh_ibp(&net, &input_box).unwrap().output()[0].0;
         assert!((cb.lower - 3.0).abs() < 1e-12, "crown {}", cb.lower);
         assert!((ibp - 1.0).abs() < 1e-12, "ibp {ibp}");
     }
@@ -397,7 +363,7 @@ mod tests {
     fn output_bounds_bracket_function() {
         let net = random_net(7);
         let input_box = [(-0.5, 0.5), (-0.5, 0.5)];
-        let ob = crown_output_bounds(&net, &input_box).unwrap();
+        let ob = crown_output_bounds(&net, &input_box, 1).unwrap();
         assert_eq!(ob.len(), 1);
         let (lo, hi) = ob[0];
         assert!(lo <= hi);
@@ -414,20 +380,20 @@ mod tests {
     fn point_box_is_exact() {
         let net = random_net(3);
         let x = [0.3, -0.2];
-        let cb = crown_lower(&net, &[(x[0], x[0]), (x[1], x[1])], &spec1()).unwrap();
+        let cb = fresh_crown(&net, &[(x[0], x[0]), (x[1], x[1])], &spec1()).unwrap();
         assert!((cb.lower - net.eval(&x).unwrap()[0]).abs() < 1e-9);
     }
 
     #[test]
     fn validation() {
         let net = abs_net();
-        assert!(crown_lower(&net, &[], &spec1()).is_err());
-        assert!(crown_lower(&net, &[(0.0, 1.0), (0.0, 1.0)], &spec1()).is_err());
+        assert!(fresh_crown(&net, &[], &spec1()).is_err());
+        assert!(fresh_crown(&net, &[(0.0, 1.0), (0.0, 1.0)], &spec1()).is_err());
         let bad_spec = Specification {
             c: vec![1.0, 2.0],
             offset: 0.0,
         };
-        assert!(crown_lower(&net, &[(0.0, 1.0)], &bad_spec).is_err());
+        assert!(fresh_crown(&net, &[(0.0, 1.0)], &bad_spec).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! verdict up to the requested gap `epsilon`.
 
 use crate::bounds::interval_bounds_scratch;
-use crate::crown::crown_lower_value_scratch;
+use crate::crown::crown_lower_scratch;
 use crate::net::{validate_box, AffineReluNet, Specification};
 use crate::{Scratch, VerifyError};
 use std::cmp::Ordering;
@@ -31,13 +31,15 @@ fn node_bound(
 ) -> Result<f64, VerifyError> {
     crate::with_scratch(|scratch| {
         let ib = interval_bounds_scratch(net, domain, 1, scratch)?;
-        let cb_lower = crown_lower_value_scratch(net, domain, spec, &ib, scratch)?;
+        let cb = crown_lower_scratch(net, domain, spec, &ib, scratch)?;
         let mut ibp_spec = spec.offset;
         for (ci, &(lo, hi)) in spec.c.iter().zip(ib.output()) {
             ibp_spec += if *ci >= 0.0 { ci * lo } else { ci * hi };
         }
+        let lower = cb.lower.max(ibp_spec);
+        cb.recycle(scratch);
         ib.recycle(scratch);
-        Ok(cb_lower.max(ibp_spec))
+        Ok(lower)
     })
 }
 
@@ -506,7 +508,12 @@ mod tests {
             offset: 0.05,
         };
         // Root CROWN bound is loose (≈ −0.85) so branching must kick in.
-        let root = crate::crown::crown_lower(&net, &[(-1.0, 1.0)], &spec).unwrap();
+        let mut scratch = Scratch::new();
+        let ib =
+            crate::bounds::interval_bounds_scratch(&net, &[(-1.0, 1.0)], 1, &mut scratch).unwrap();
+        let root =
+            crate::crown::crown_lower_scratch(&net, &[(-1.0, 1.0)], &spec, &ib, &mut scratch)
+                .unwrap();
         assert!(
             root.lower < 0.0,
             "root bound unexpectedly tight: {}",

@@ -12,10 +12,13 @@
 //! * [`net::AffineReluNet`] — the framework-agnostic network form the
 //!   verifiers consume (extractable from trained [`rcr_nn`] MLPs).
 //! * [`bounds`] — **interval bound propagation** (IBP), the loosest and
-//!   cheapest layer-wise relaxation.
+//!   cheapest layer-wise relaxation:
+//!   [`bounds::interval_bounds_scratch`].
 //! * [`crown`] — backward **linear relaxation** with the ReLU triangle
 //!   envelope (CROWN-style), the tightened relaxation of Anderson et al.
-//!   / Salman et al. that the paper cites.
+//!   / Salman et al. that the paper cites: [`crown::crown_lower_scratch`]
+//!   for one specification, [`crown::crown_output_bounds`] for every
+//!   output at once.
 //! * [`exact`] — a **complete** verifier: input-domain branch-and-bound
 //!   with CROWN bounding and concrete falsification, the paper's
 //!   "exact (complete)" arm; exponential worst case, exact answers.
@@ -25,7 +28,8 @@
 //! ```
 //! use rcr_linalg::Matrix;
 //! use rcr_verify::net::AffineReluNet;
-//! use rcr_verify::bounds::interval_bounds;
+//! use rcr_verify::bounds::interval_bounds_scratch;
+//! use rcr_verify::Scratch;
 //!
 //! # fn main() -> Result<(), rcr_verify::VerifyError> {
 //! // y = ReLU(x) for a single neuron; input in [-1, 1] → output in [0, 1].
@@ -33,7 +37,8 @@
 //!     (Matrix::identity(1), vec![0.0]),
 //!     (Matrix::identity(1), vec![0.0]),
 //! ])?;
-//! let b = interval_bounds(&net, &[(-1.0, 1.0)])?;
+//! let mut scratch = Scratch::new();
+//! let b = interval_bounds_scratch(&net, &[(-1.0, 1.0)], 1, &mut scratch)?;
 //! assert_eq!(b.output()[0], (0.0, 1.0));
 //! # Ok(())
 //! # }
@@ -53,7 +58,8 @@ mod error;
 pub use error::VerifyError;
 /// Re-export of the workspace scratch pool so callers of the
 /// `*_scratch` verifier entry points need not depend on `rcr-kernels`
-/// directly.
+/// directly. Results hand their buffers back through
+/// [`bounds::LayerBounds::recycle`] and [`crown::CrownBound::recycle`].
 pub use rcr_kernels::Scratch;
 
 use std::cell::RefCell;

@@ -5,10 +5,11 @@
 //! deterministic order, so parallelism is purely a throughput knob.
 
 use rcr_linalg::Matrix;
-use rcr_verify::bounds::interval_bounds_parallel;
-use rcr_verify::crown::crown_output_bounds_parallel;
+use rcr_verify::bounds::interval_bounds_scratch;
+use rcr_verify::crown::crown_output_bounds;
 use rcr_verify::exact::{verify_complete, BnbSettings, Verdict};
 use rcr_verify::net::{AffineReluNet, Specification};
+use rcr_verify::Scratch;
 
 /// Deterministic pseudo-random weights (splitmix64 folded to [-1, 1]).
 fn weights(n: usize, mut state: u64) -> Vec<f64> {
@@ -42,9 +43,10 @@ const BOX: [(f64, f64); 3] = [(-0.6, 0.4), (-0.5, 0.5), (-0.2, 0.8)];
 #[test]
 fn interval_bounds_bit_identical_across_worker_counts() {
     let net = test_net();
-    let serial = interval_bounds_parallel(&net, &BOX, 1).unwrap();
+    let mut scratch = Scratch::new();
+    let serial = interval_bounds_scratch(&net, &BOX, 1, &mut scratch).unwrap();
     for workers in [2usize, 4, 7] {
-        let par = interval_bounds_parallel(&net, &BOX, workers).unwrap();
+        let par = interval_bounds_scratch(&net, &BOX, workers, &mut scratch).unwrap();
         assert_eq!(
             serial.pre_activation(),
             par.pre_activation(),
@@ -62,9 +64,9 @@ fn interval_bounds_bit_identical_across_worker_counts() {
 #[test]
 fn crown_bounds_bit_identical_across_worker_counts() {
     let net = test_net();
-    let serial = crown_output_bounds_parallel(&net, &BOX, 1).unwrap();
+    let serial = crown_output_bounds(&net, &BOX, 1).unwrap();
     for workers in [2usize, 4, 7] {
-        let par = crown_output_bounds_parallel(&net, &BOX, workers).unwrap();
+        let par = crown_output_bounds(&net, &BOX, workers).unwrap();
         assert_eq!(serial.len(), par.len());
         for (j, ((slo, shi), (plo, phi))) in serial.iter().zip(&par).enumerate() {
             assert_eq!(

@@ -4,10 +4,11 @@
 
 use proptest::prelude::*;
 use rcr_linalg::Matrix;
-use rcr_verify::bounds::interval_bounds;
-use rcr_verify::crown::crown_lower;
+use rcr_verify::bounds::interval_bounds_scratch;
+use rcr_verify::crown::crown_lower_scratch;
 use rcr_verify::exact::{verify_complete, BnbSettings, Verdict};
 use rcr_verify::net::{AffineReluNet, Specification};
+use rcr_verify::Scratch;
 
 fn net_from(weights: &[f64], biases: &[f64]) -> AffineReluNet {
     // 2-4-1 ReLU net: 8 + 4 weights, 4 + 1 biases.
@@ -31,8 +32,10 @@ proptest! {
         let spec = Specification { c: vec![1.0], offset: 0.0 };
         let bx = [(cx - eps, cx + eps), (cy - eps, cy + eps)];
 
-        let ibp = interval_bounds(&net, &bx).unwrap().output()[0].0;
-        let crown = crown_lower(&net, &bx, &spec).unwrap().lower;
+        let mut scratch = Scratch::new();
+        let ib = interval_bounds_scratch(&net, &bx, 1, &mut scratch).unwrap();
+        let ibp = ib.output()[0].0;
+        let crown = crown_lower_scratch(&net, &bx, &spec, &ib, &mut scratch).unwrap().lower;
 
         let mut grid_min = f64::INFINITY;
         for i in 0..=8 {

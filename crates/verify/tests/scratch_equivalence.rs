@@ -3,16 +3,15 @@
 //!
 //! The reference functions in this file are verbatim copies of the IBP and
 //! CROWN loops as they existed before the `rcr-kernels` rewiring (fresh
-//! `Vec` per layer, `Matrix` index access). Every current entry point —
-//! allocating wrapper, explicit-scratch, and warm-pool reuse — must agree
-//! with them to the bit, on fixed-seed nets and on random shapes.
+//! `Vec` per layer, `Matrix` index access). The scratch entry points must
+//! agree with them to the bit — from a fresh pool, from a warm pool, and
+//! from a pool last used by a net of another shape — on fixed-seed nets
+//! and on random shapes.
 
 use proptest::prelude::*;
 use rcr_linalg::Matrix;
-use rcr_verify::bounds::{interval_bounds, interval_bounds_parallel, interval_bounds_scratch};
-use rcr_verify::crown::{
-    crown_lower_value_scratch, crown_lower_with_bounds, crown_lower_with_bounds_scratch,
-};
+use rcr_verify::bounds::interval_bounds_scratch;
+use rcr_verify::crown::crown_lower_scratch;
 use rcr_verify::net::{AffineReluNet, Specification};
 use rcr_verify::Scratch;
 
@@ -133,6 +132,21 @@ fn pair_bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
     v.iter().map(|&(a, b)| (a.to_bits(), b.to_bits())).collect()
 }
 
+/// A ReLU net of layer widths `dims` (input first) with fixed
+/// pseudo-random parameters drawn from `seed`.
+fn seeded_net(dims: &[usize], seed: u64) -> AffineReluNet {
+    let layers = dims
+        .windows(2)
+        .zip(seed..)
+        .map(|(io, s)| {
+            let (cols, rows) = (io[0], io[1]);
+            let w = Matrix::from_vec(rows, cols, weights(rows * cols, 2 * s)).unwrap();
+            (w, weights(rows, 2 * s + 1))
+        })
+        .collect();
+    AffineReluNet::new(layers).unwrap()
+}
+
 /// A 3-16-16-2 ReLU net with fixed pseudo-random parameters (the same
 /// construction the parallel-determinism suite pins).
 fn test_net() -> AffineReluNet {
@@ -169,13 +183,13 @@ fn ibp_matches_pre_pr_reference_on_fixed_net() {
         }
         got.recycle(&mut scratch);
     }
-    // The allocating wrapper and the parallel sweep agree too.
-    let wrapper = interval_bounds(&net, &BOX).unwrap();
+    // A fresh pool and the parallel sweep agree too.
+    let fresh = interval_bounds_scratch(&net, &BOX, 1, &mut Scratch::new()).unwrap();
     assert_eq!(
-        pair_bits(wrapper.output()),
+        pair_bits(fresh.output()),
         pair_bits(naive_post.last().unwrap())
     );
-    let par = interval_bounds_parallel(&net, &BOX, 4).unwrap();
+    let par = interval_bounds_scratch(&net, &BOX, 4, &mut Scratch::new()).unwrap();
     assert_eq!(
         pair_bits(par.output()),
         pair_bits(naive_post.last().unwrap())
@@ -185,7 +199,7 @@ fn ibp_matches_pre_pr_reference_on_fixed_net() {
 #[test]
 fn crown_matches_pre_pr_reference_on_fixed_net() {
     let net = test_net();
-    let ib = interval_bounds(&net, &BOX).unwrap();
+    let ib = interval_bounds_scratch(&net, &BOX, 1, &mut Scratch::new()).unwrap();
     let spec = Specification {
         c: vec![1.0, -0.5],
         offset: 0.25,
@@ -193,19 +207,19 @@ fn crown_matches_pre_pr_reference_on_fixed_net() {
     let (want_lower, want_const, want_coeffs) =
         naive_crown_lower(&net, &BOX, &spec, ib.pre_activation());
 
-    let allocating = crown_lower_with_bounds(&net, &BOX, &spec, &ib).unwrap();
-    assert_eq!(allocating.lower.to_bits(), want_lower.to_bits());
-    assert_eq!(allocating.constant.to_bits(), want_const.to_bits());
-    assert_eq!(bits(&allocating.input_coeffs), bits(&want_coeffs));
+    let fresh = crown_lower_scratch(&net, &BOX, &spec, &ib, &mut Scratch::new()).unwrap();
+    assert_eq!(fresh.lower.to_bits(), want_lower.to_bits());
+    assert_eq!(fresh.constant.to_bits(), want_const.to_bits());
+    assert_eq!(bits(&fresh.input_coeffs), bits(&want_coeffs));
 
+    // Three rounds through the same pool: cold, then recycled buffers.
     let mut scratch = Scratch::new();
     for round in 0..3 {
-        let cb = crown_lower_with_bounds_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
+        let cb = crown_lower_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
         assert_eq!(cb.lower.to_bits(), want_lower.to_bits(), "round {round}");
+        assert_eq!(cb.constant.to_bits(), want_const.to_bits(), "round {round}");
         assert_eq!(bits(&cb.input_coeffs), bits(&want_coeffs), "round {round}");
-        scratch.give_f64(cb.input_coeffs);
-        let v = crown_lower_value_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
-        assert_eq!(v.to_bits(), want_lower.to_bits(), "round {round} value");
+        cb.recycle(&mut scratch);
     }
 }
 
@@ -220,13 +234,15 @@ fn warm_scratch_rounds_do_not_allocate() {
     // Warm-up: populate the pool.
     for _ in 0..2 {
         let ib = interval_bounds_scratch(&net, &BOX, 1, &mut scratch).unwrap();
-        let _ = crown_lower_value_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
+        let cb = crown_lower_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
+        cb.recycle(&mut scratch);
         ib.recycle(&mut scratch);
     }
     let cold_before = scratch.cold_allocs();
     for _ in 0..50 {
         let ib = interval_bounds_scratch(&net, &BOX, 1, &mut scratch).unwrap();
-        let _ = crown_lower_value_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
+        let cb = crown_lower_scratch(&net, &BOX, &spec, &ib, &mut scratch).unwrap();
+        cb.recycle(&mut scratch);
         ib.recycle(&mut scratch);
     }
     assert_eq!(
@@ -234,6 +250,52 @@ fn warm_scratch_rounds_do_not_allocate() {
         cold_before,
         "steady-state IBP+CROWN rounds must be served entirely from the pool"
     );
+}
+
+#[test]
+fn one_pool_reused_across_net_shapes_matches_naive() {
+    // Shrinking and growing layer widths and depths hand the pool buffers
+    // recycled from another shape; every result must still match the
+    // naive oracles to the bit.
+    let shapes: [&[usize]; 3] = [&[2, 4, 1], &[8, 16, 16, 3], &[2, 4, 1]];
+    for workers in [1usize, 4] {
+        let mut scratch = Scratch::new();
+        for (step, dims) in shapes.iter().enumerate() {
+            let net = seeded_net(dims, 10 * step as u64 + 1);
+            let bx: Vec<(f64, f64)> = (0..dims[0])
+                .map(|i| (-0.4 - 0.05 * i as f64, 0.3 + 0.02 * i as f64))
+                .collect();
+            let out = dims[dims.len() - 1];
+            let spec = Specification {
+                c: weights(out, 99 + step as u64),
+                offset: 0.125,
+            };
+            let ctx = format!("{workers} workers, step {step} ({dims:?})");
+
+            let (naive_pre, naive_post) = naive_interval_bounds(&net, &bx);
+            let ib = interval_bounds_scratch(&net, &bx, workers, &mut scratch).unwrap();
+            assert_eq!(ib.pre_activation().len(), naive_pre.len(), "{ctx}");
+            for (li, (np, gp)) in naive_pre.iter().zip(ib.pre_activation()).enumerate() {
+                assert_eq!(pair_bits(np), pair_bits(gp), "{ctx}: layer {li} pre");
+            }
+            for (li, (np, gp)) in naive_post.iter().zip(ib.post_activation()).enumerate() {
+                assert_eq!(pair_bits(np), pair_bits(gp), "{ctx}: layer {li} post");
+            }
+
+            let (want_lower, want_const, want_coeffs) =
+                naive_crown_lower(&net, &bx, &spec, &naive_pre);
+            let cb = crown_lower_scratch(&net, &bx, &spec, &ib, &mut scratch).unwrap();
+            assert_eq!(cb.lower.to_bits(), want_lower.to_bits(), "{ctx}: lower");
+            assert_eq!(
+                cb.constant.to_bits(),
+                want_const.to_bits(),
+                "{ctx}: constant"
+            );
+            assert_eq!(bits(&cb.input_coeffs), bits(&want_coeffs), "{ctx}: coeffs");
+            cb.recycle(&mut scratch);
+            ib.recycle(&mut scratch);
+        }
+    }
 }
 
 fn net_from(weights: &[f64], biases: &[f64]) -> AffineReluNet {
@@ -272,11 +334,9 @@ proptest! {
 
         let (want_lower, want_const, want_coeffs) =
             naive_crown_lower(&net, &bx, &spec, ib.pre_activation());
-        let cb = crown_lower_with_bounds_scratch(&net, &bx, &spec, &ib, &mut scratch).unwrap();
+        let cb = crown_lower_scratch(&net, &bx, &spec, &ib, &mut scratch).unwrap();
         prop_assert_eq!(cb.lower.to_bits(), want_lower.to_bits());
         prop_assert_eq!(cb.constant.to_bits(), want_const.to_bits());
         prop_assert_eq!(bits(&cb.input_coeffs), bits(&want_coeffs));
-        let v = crown_lower_value_scratch(&net, &bx, &spec, &ib, &mut scratch).unwrap();
-        prop_assert_eq!(v.to_bits(), want_lower.to_bits());
     }
 }

@@ -16,9 +16,10 @@ use rcr::linalg::Matrix;
 use rcr::pso::swarm::{PsoSettings, Swarm};
 use rcr::qos::workload::{Scenario, ScenarioConfig};
 use rcr::runtime::resolve_workers;
-use rcr::verify::bounds::interval_bounds_parallel;
-use rcr::verify::crown::crown_output_bounds_parallel;
+use rcr::verify::bounds::interval_bounds_scratch;
+use rcr::verify::crown::crown_output_bounds;
 use rcr::verify::net::AffineReluNet;
+use rcr::verify::Scratch;
 
 /// Deterministic pseudo-random weights (splitmix64 folded to [-1, 1]).
 fn weights(n: usize, mut state: u64) -> Vec<f64> {
@@ -67,8 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (Matrix::from_vec(8, 16, weights(128, 3))?, weights(8, 4)),
     ])?;
     let input_box = [(-0.5, 0.5); 4];
-    let ibp = interval_bounds_parallel(&net, &input_box, workers)?;
-    let crown = crown_output_bounds_parallel(&net, &input_box, workers)?;
+    let ibp = interval_bounds_scratch(&net, &input_box, workers, &mut Scratch::new())?;
+    let crown = crown_output_bounds(&net, &input_box, workers)?;
     let (ilo, ihi) = ibp.output()[0];
     println!(
         "ibp     out0 [{ilo:+.6}, {ihi:+.6}]  bits {:016x}/{:016x}",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # The CI gate: release build, complete test suite, formatting, lints.
 # Usage: scripts/verify.sh [--quick] [--bench-smoke] [--scenario-smoke]
-#   --quick        build + tests only (skips rcr-lint, fmt, clippy, bench
-#                  compilation, and perfbench's tests)
+#   --quick        build + tests only (skips rcr-lint, fmt, clippy, docs,
+#                  bench compilation, and perfbench's tests)
 #   --bench-smoke  also run the benchmark suite in smoke mode and diff the
 #                  results against the committed BENCH_8.json baseline
 #                  (wall-time regressions beyond 25% of the host factor,
@@ -39,7 +39,7 @@ echo "== cargo test --test integration_serve (service loopback) ==" >&2
 cargo test -q --no-fail-fast --test integration_serve
 
 if [ "$quick" -eq 1 ]; then
-  echo "verify.sh: quick gates passed (lint/fmt/clippy/benches skipped)" >&2
+  echo "verify.sh: quick gates passed (lint/fmt/clippy/docs/benches skipped)" >&2
   exit 0
 fi
 
@@ -67,6 +67,11 @@ cargo fmt --check
 
 echo "== cargo clippy (warnings are errors) ==" >&2
 cargo clippy --workspace --benches -- -D warnings
+
+echo "== cargo doc (warnings are errors) ==" >&2
+# Broken or private intra-doc links fail here, so a doc comment cannot
+# keep naming an API after it is deleted or renamed.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 if [ "$bench_smoke" -eq 1 ]; then
   echo "== bench smoke + regression gate (vs BENCH_8.json) ==" >&2

@@ -313,3 +313,43 @@ fn wire_rejects_malformed_lines_without_dropping_the_connection() {
     assert_eq!(resp.id, 1);
     assert!(matches!(resp.outcome, Outcome::Solved(_)));
 }
+
+#[test]
+fn an_oversized_cell_is_refused_and_the_connection_keeps_serving() {
+    let service = Service::spawn(ServiceConfig::default()).expect("valid policy");
+    let frontend = TcpFrontend::bind("127.0.0.1:0", service.client()).expect("bind loopback");
+    let stream = TcpStream::connect(frontend.local_addr()).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+
+    writer
+        .write_all(
+            b"{\"id\":1,\"class\":\"eMBB\",\"deadline_us\":60000000,\"users\":1000000,\"rbs\":1000000}\n",
+        )
+        .unwrap();
+    writer
+        .write_all(b"{\"id\":2,\"class\":\"eMBB\",\"deadline_us\":60000000}\n")
+        .unwrap();
+    writer.flush().unwrap();
+
+    let mut replies: Vec<_> = (0..2)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            wire::parse_response(line.trim_end()).unwrap()
+        })
+        .collect();
+    replies.sort_by_key(|r| r.id);
+    assert_eq!(replies[0].id, 1);
+    assert!(
+        !matches!(replies[0].outcome, Outcome::Solved(_)),
+        "the oversized cell was solved: {:?}",
+        replies[0].outcome
+    );
+    assert_eq!(replies[1].id, 2);
+    assert!(
+        matches!(replies[1].outcome, Outcome::Solved(_)),
+        "{:?}",
+        replies[1].outcome
+    );
+}

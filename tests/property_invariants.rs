@@ -6,8 +6,9 @@ use rcr::linalg::{vector, Matrix};
 use rcr::numerics::stable::{log_softmax, softmax};
 use rcr::signal::fft::{fft, ifft};
 use rcr::signal::Complex64;
-use rcr::verify::bounds::interval_bounds;
+use rcr::verify::bounds::interval_bounds_scratch;
 use rcr::verify::net::AffineReluNet;
+use rcr::verify::Scratch;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -84,7 +85,7 @@ proptest! {
         let w1 = Matrix::from_vec(3, 1, w[..3].to_vec()).unwrap();
         let w2 = Matrix::from_vec(1, 3, w[3..].to_vec()).unwrap();
         let net = AffineReluNet::new(vec![(w1, b.clone()), (w2, vec![0.0])]).unwrap();
-        let bounds = interval_bounds(&net, &[(-1.0, 1.0)]).unwrap();
+        let bounds = interval_bounds_scratch(&net, &[(-1.0, 1.0)], 1, &mut Scratch::new()).unwrap();
         let (lo, hi) = bounds.output()[0];
         let y = net.eval(&[probe]).unwrap()[0];
         prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
