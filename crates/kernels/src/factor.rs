@@ -37,6 +37,13 @@ pub const FACTOR_NB: usize = 32;
 const SYRK_MR: usize = 4;
 /// Register-tile width of the symmetric rank-k trailing update.
 const SYRK_NR: usize = 8;
+/// Depth of the packed k-major `SYRK_KC x SYRK_NR` stack panel that the
+/// trailing update reads its `b` operand from (2 KiB); deeper panels are
+/// swept in chunks of this many `k`.
+const SYRK_KC: usize = FACTOR_NB;
+/// Rows of a panel column solved together: independent chains, so their
+/// multiply-subtracts overlap instead of waiting on one another.
+const PANEL_ROWS: usize = 4;
 
 /// Column-tile width used when applying Householder reflectors to a
 /// trailing block: reflectors are applied one at a time (preserving each
@@ -127,13 +134,7 @@ pub fn cholesky_with_block(
             }
             let dj = d.sqrt();
             a[j * ld + j] = dj;
-            for i in (j + 1)..n {
-                let mut s = a[i * ld + j];
-                for k in p..j {
-                    s -= a[i * ld + k] * a[j * ld + k];
-                }
-                a[i * ld + j] = s / dj;
-            }
+            panel_column(a, n, ld, p, j, dj);
         }
         // Trailing update: A[t.., t..] -= L[t.., p..p+pb] · L[t.., p..p+pb]ᵀ
         // (lower triangle only), chains continued in increasing k.
@@ -143,6 +144,50 @@ pub fn cholesky_with_block(
     Ok(())
 }
 
+/// The below-diagonal part of panel column `j` (panel start `p`, pivot
+/// `dj`): `a[i][j] = (a[i][j] - Σ_k a[i][k]·a[j][k]) / dj` for every row
+/// `i > j`, over `k = p..j` ascending — the reference loop's chain per
+/// element. [`PANEL_ROWS`] rows run side by side, so the latency of one
+/// row's chain hides behind the others'.
+fn panel_column(a: &mut [f64], n: usize, ld: usize, p: usize, j: usize, dj: f64) {
+    // The last row may be shorter than `ld`.
+    let (top, below) = a.split_at_mut(((j + 1) * ld).min(a.len()));
+    let lj = &top[j * ld + p..j * ld + j];
+    let rows = n - (j + 1);
+    let mut i = 0;
+    while i + PANEL_ROWS <= rows {
+        let (r0, rest) = below[i * ld..].split_at_mut(ld);
+        let (r1, rest) = rest.split_at_mut(ld);
+        let (r2, r3) = rest.split_at_mut(ld);
+        let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
+        for ((((&l, &x0), &x1), &x2), &x3) in lj
+            .iter()
+            .zip(&r0[p..j])
+            .zip(&r1[p..j])
+            .zip(&r2[p..j])
+            .zip(&r3[p..j])
+        {
+            s0 -= x0 * l;
+            s1 -= x1 * l;
+            s2 -= x2 * l;
+            s3 -= x3 * l;
+        }
+        r0[j] = s0 / dj;
+        r1[j] = s1 / dj;
+        r2[j] = s2 / dj;
+        r3[j] = s3 / dj;
+        i += PANEL_ROWS;
+    }
+    for r in i..rows {
+        let row = &mut below[r * ld..r * ld + j + 1];
+        let mut s = row[j];
+        for (&x, &l) in row[p..j].iter().zip(lj) {
+            s -= x * l;
+        }
+        row[j] = s / dj;
+    }
+}
+
 /// Symmetric rank-`pb` trailing update for the blocked Cholesky: for every
 /// lower-triangle element `(i, j)` with `i, j >= p + pb`,
 /// `a[i][j] -= Σ_k a[i][k]·a[j][k]` over panel columns `k = p..p+pb` in
@@ -150,8 +195,16 @@ pub fn cholesky_with_block(
 /// seeded from `out` so the subtraction chain continues the element's
 /// existing partial result, and there is deliberately *no* zero skip — the
 /// reference loop has none.
+///
+/// The `b` operand of a full column tile (rows `j0..j0+SYRK_NR`, columns
+/// `k`) is packed k-major once per `SYRK_KC` chunk and shared by every
+/// row tile below it, so each `k` step reads its 8 `b` values from one
+/// contiguous row instead of 8 rows `ld` apart. A chunked sweep stores
+/// and reloads the accumulators between chunks, which is exact, so every
+/// chain still runs `k` ascending.
 fn syrk_sub_lower(a: &mut [f64], n: usize, ld: usize, p: usize, pb: usize) {
     let t = p + pb;
+    let mut pack = [[0.0f64; SYRK_NR]; SYRK_KC];
     let mut j0 = t;
     while j0 < n {
         let jw = SYRK_NR.min(n - j0);
@@ -165,26 +218,52 @@ fn syrk_sub_lower(a: &mut [f64], n: usize, ld: usize, p: usize, pb: usize) {
                 a[i * ld + j] = s;
             }
         }
-        // Full tiles strictly below the diagonal block.
-        let mut i0 = j0 + jw;
+        // Tiles strictly below the diagonal block: full-height rows of a
+        // full-width column tile read the packed panel.
+        let below = j0 + jw;
+        let full_end = if jw == SYRK_NR {
+            below + (n - below) / SYRK_MR * SYRK_MR
+        } else {
+            below
+        };
+        let mut k0 = p;
+        while full_end > below && k0 < t {
+            let kw = SYRK_KC.min(t - k0);
+            for jj in 0..SYRK_NR {
+                let row = &a[(j0 + jj) * ld + k0..(j0 + jj) * ld + k0 + kw];
+                for (slot, &v) in pack.iter_mut().zip(row) {
+                    slot[jj] = v;
+                }
+            }
+            for i0 in (below..full_end).step_by(SYRK_MR) {
+                syrk_tile_full(a, ld, k0, &pack[..kw], i0, j0);
+            }
+            k0 += kw;
+        }
+        let mut i0 = full_end;
         while i0 < n {
             let ih = SYRK_MR.min(n - i0);
-            if ih == SYRK_MR && jw == SYRK_NR {
-                syrk_tile_full(a, ld, p, pb, i0, j0);
-            } else {
-                syrk_tile_edge(a, ld, p, pb, i0, j0, ih, jw);
-            }
+            syrk_tile_edge(a, ld, p, pb, i0, j0, ih, jw);
             i0 += SYRK_MR;
         }
         j0 += SYRK_NR;
     }
 }
 
-/// Full `SYRK_MR x SYRK_NR` register tile of [`syrk_sub_lower`]. Named
-/// accumulator rows (not a 2-D array) so LLVM performs scalar replacement
-/// and keeps every partial chain in a register for the whole `k` sweep.
+/// Full `SYRK_MR x SYRK_NR` register tile of [`syrk_sub_lower`] over the
+/// `k` chunk starting at `k0`, whose `b` values are `pack` (one row per
+/// `k`). Named accumulator rows (not a 2-D array) so LLVM performs scalar
+/// replacement and keeps every partial chain in a register for the whole
+/// `k` sweep.
 #[inline]
-fn syrk_tile_full(a: &mut [f64], ld: usize, p: usize, pb: usize, i0: usize, j0: usize) {
+fn syrk_tile_full(
+    a: &mut [f64],
+    ld: usize,
+    k0: usize,
+    pack: &[[f64; SYRK_NR]],
+    i0: usize,
+    j0: usize,
+) {
     let mut acc0 = [0.0f64; SYRK_NR];
     let mut acc1 = [0.0f64; SYRK_NR];
     let mut acc2 = [0.0f64; SYRK_NR];
@@ -201,17 +280,15 @@ fn syrk_tile_full(a: &mut [f64], ld: usize, p: usize, pb: usize, i0: usize, j0: 
     for (jj, slot) in acc3.iter_mut().enumerate() {
         *slot = a[(i0 + 3) * ld + j0 + jj];
     }
-    for k in p..p + pb {
-        let a0 = a[i0 * ld + k];
-        let a1 = a[(i0 + 1) * ld + k];
-        let a2 = a[(i0 + 2) * ld + k];
-        let a3 = a[(i0 + 3) * ld + k];
+    let kw = pack.len();
+    let row = |r: usize| &a[(i0 + r) * ld + k0..(i0 + r) * ld + k0 + kw];
+    let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
+    for ((((b, &a0), &a1), &a2), &a3) in pack.iter().zip(x0).zip(x1).zip(x2).zip(x3) {
         for jj in 0..SYRK_NR {
-            let b = a[(j0 + jj) * ld + k];
-            acc0[jj] -= a0 * b;
-            acc1[jj] -= a1 * b;
-            acc2[jj] -= a2 * b;
-            acc3[jj] -= a3 * b;
+            acc0[jj] -= a0 * b[jj];
+            acc1[jj] -= a1 * b[jj];
+            acc2[jj] -= a2 * b[jj];
+            acc3[jj] -= a3 * b[jj];
         }
     }
     for (jj, &v) in acc0.iter().enumerate() {
@@ -842,16 +919,23 @@ mod tests {
             let a = spd(n, 0x5EED ^ n as u64);
             let mut unb = a.clone();
             cholesky_unblocked(&mut unb, n, n, 0.0).unwrap();
-            for nb in [1usize, 7, 32, 200] {
-                let mut blk = a.clone();
-                cholesky_with_block(&mut blk, n, n, 0.0, nb).unwrap();
-                for i in 0..n {
-                    for j in 0..=i {
-                        assert_eq!(
-                            blk[i * n + j].to_bits(),
-                            unb[i * n + j].to_bits(),
-                            "n={n} nb={nb} ({i},{j})"
-                        );
+            // 48 sweeps the packed panel in two k chunks; a padded
+            // leading dimension keeps rows apart in memory.
+            for nb in [1usize, 7, 32, 48, 200] {
+                for ld in [n, n + 3] {
+                    let mut blk = vec![f64::NAN; n.saturating_sub(1) * ld + n];
+                    for i in 0..n {
+                        blk[i * ld..i * ld + n].copy_from_slice(&a[i * n..i * n + n]);
+                    }
+                    cholesky_with_block(&mut blk, n, ld, 0.0, nb).unwrap();
+                    for i in 0..n {
+                        for j in 0..=i {
+                            assert_eq!(
+                                blk[i * ld + j].to_bits(),
+                                unb[i * n + j].to_bits(),
+                                "n={n} nb={nb} ld={ld} ({i},{j})"
+                            );
+                        }
                     }
                 }
             }

@@ -208,6 +208,35 @@ mod tests {
     }
 
     #[test]
+    fn books_balance_with_reuse_hits_answered_at_admission() {
+        // Twenty users on one long fading block: most requests repeat a
+        // cached problem, and many are answered at admission.
+        let m = ScenarioManifest {
+            population: 20,
+            ..manifest(400)
+        };
+        let config = ServiceConfig {
+            reuse: rcr_serve::ReuseConfig {
+                enabled: true,
+                capacity: 256,
+            },
+            ..ServiceConfig::default()
+        };
+        let report =
+            run_scenario(&m, config, LoadMode::Closed { concurrency: 8 }).expect("run succeeds");
+        report.reconcile(None).expect("books balance");
+        let reuse = report.snapshot.reuse;
+        assert!(reuse.admission_hits > 0, "{reuse:?}");
+        assert!(reuse.admission_hits <= reuse.hits);
+        // Every request was solved, and each counted one hit or miss.
+        for class in QosClass::ALL {
+            let c = report.class(class);
+            assert_eq!(c.solved, c.offered, "{} shed under no load", class.name());
+        }
+        assert_eq!(reuse.hits + reuse.misses, 400);
+    }
+
+    #[test]
     fn open_loop_survives_unrepresentable_schedule_offsets() {
         // A vanishingly small (but valid) replay speed pushes every
         // schedule offset past what Duration can represent; the

@@ -106,7 +106,8 @@ pub struct LatencySummary {
 /// Outcome counters for one service class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClassCounters {
-    /// Requests admitted to the lane.
+    /// Requests admitted: to the lane, or answered at admission from
+    /// the reuse cache.
     pub admitted: u64,
     /// Requests refused admission (queue full or shutting down).
     pub rejected: u64,
@@ -146,7 +147,8 @@ pub struct MetricsSnapshot {
     /// Highest total queue depth ever observed.
     pub queue_depth_high_water: usize,
     /// Enqueue → solve-start latency of admitted requests (includes any
-    /// wait behind batch siblings).
+    /// wait behind batch siblings; zero for a reuse hit answered at
+    /// admission).
     pub queue_latency: LatencySummary,
     /// Per-request solver latency.
     pub solve_latency: LatencySummary,
@@ -208,8 +210,8 @@ impl MetricsSnapshot {
             self.queue_depth_high_water, self.batches
         ));
         out.push_str(&format!(
-            "reuse: hits={} misses={} evictions={}\n",
-            self.reuse.hits, self.reuse.misses, self.reuse.evictions
+            "reuse: hits={} (at admission {}) misses={} evictions={}\n",
+            self.reuse.hits, self.reuse.admission_hits, self.reuse.misses, self.reuse.evictions
         ));
         let lat = |name: &str, s: &LatencySummary| {
             format!(
@@ -333,6 +335,7 @@ mod tests {
             9,
             ReuseCounters {
                 hits: 4,
+                admission_hits: 3,
                 misses: 2,
                 evictions: 1,
             },
@@ -350,6 +353,6 @@ mod tests {
         assert!(table.contains("high water: 7"));
         assert!(table.contains("batches: 9"));
         assert!(table.contains("lane_hw"));
-        assert!(table.contains("reuse: hits=4 misses=2 evictions=1"));
+        assert!(table.contains("reuse: hits=4 (at admission 3) misses=2 evictions=1"));
     }
 }

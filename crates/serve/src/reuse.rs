@@ -12,6 +12,21 @@
 //! factorizations): here only bit-identical instances hit, because a
 //! served response must be indistinguishable from a cold solve.
 //!
+//! **Where lookups happen.** A cacheable request is looked up twice at
+//! most, and counted once:
+//!
+//! * at admission, on the submitter's thread, after the shutdown and
+//!   already-expired checks. A hit is answered there and then: it takes
+//!   no lane slot and wakes no worker. Its `queue_time` is zero, its
+//!   `solve_time` is the lookup, and its `batch_size` is 1. It counts
+//!   one hit (and one [`ReuseCounters::admission_hits`]). A miss is not
+//!   counted here; the request goes on to its lane.
+//! * in the worker, just before the solve. This lookup stays because a
+//!   duplicate can be admitted while its twin is still queued or
+//!   solving, before the twin's solution lands in the cache (a burst of
+//!   re-solves at a fading-epoch boundary admits many such pairs). It
+//!   counts the request's one hit or one miss.
+//!
 //! **Determinism.** [`SolverKind::Greedy`] and [`SolverKind::Exact`] are
 //! pure functions of the problem, so serving a cached solution is
 //! bit-identical to recomputing it — the serial-vs-parallel identity
@@ -59,9 +74,12 @@ impl Default for ReuseConfig {
 /// [`crate::MetricsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReuseCounters {
-    /// Lookups answered from the cache.
+    /// Requests answered from the cache, at admission or in a worker.
     pub hits: u64,
-    /// Lookups that fell through to a solve (including uncacheable
+    /// The subset of `hits` answered at admission, on the submitter's
+    /// thread, without a lane slot or a worker.
+    pub admission_hits: u64,
+    /// Requests that fell through to a solve (including uncacheable
     /// solver kinds when the cache is enabled).
     pub misses: u64,
     /// Entries evicted to make room.
@@ -142,10 +160,10 @@ fn key_of(solver: SolverKind, problem: &RraProblem) -> u128 {
 /// therefore be cached across requests).
 pub(crate) fn cacheable(solver: SolverKind) -> bool {
     match solver {
-        // Robust is a pure function of the problem too; a hit does waste
-        // the batch pre-factor built for the item, but serving the cached
-        // solution is still bit-identical and strictly cheaper than the
-        // QP solve it skips.
+        // Robust is a pure function of the problem too. A hit at
+        // admission never reaches a batch, so it gets no pre-factor; only
+        // a worker-side hit (a duplicate admitted before its twin's
+        // solution landed) leaves a pre-factor unused.
         SolverKind::Greedy | SolverKind::Exact | SolverKind::Robust => true,
         // Seeded per request id: two requests with identical problems
         // legitimately produce different swarms.
@@ -214,6 +232,7 @@ pub(crate) struct ReuseCache {
     shards: Vec<Mutex<Shard>>,
     shard_capacity: usize,
     hits: AtomicU64,
+    admission_hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
 }
@@ -228,6 +247,7 @@ impl ReuseCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity: config.capacity.div_ceil(SHARDS),
             hits: AtomicU64::new(0),
+            admission_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         })
@@ -238,25 +258,42 @@ impl ReuseCache {
         &self.shards[((key >> 64) as usize) & (SHARDS - 1)]
     }
 
-    /// Looks up a bit-exact match, counting a hit or miss. Uncacheable
-    /// solver kinds are counted as misses by the caller not calling in.
-    pub(crate) fn get(&self, solver: SolverKind, problem: &RraProblem) -> Option<RraSolution> {
+    fn find(&self, solver: SolverKind, problem: &RraProblem) -> Option<RraSolution> {
         let key = key_of(solver, problem);
-        let found = self
-            .shard(key)
+        self.shard(key)
             .lock()
             .expect("serve: reuse shard poisoned")
-            .get(key);
-        match found {
-            Some(s) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(s)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+            .get(key)
+    }
+
+    /// The worker-side lookup of a bit-exact match, counting a hit or
+    /// miss. Uncacheable solver kinds are counted through
+    /// [`ReuseCache::count_bypass`] instead.
+    pub(crate) fn get(&self, solver: SolverKind, problem: &RraProblem) -> Option<RraSolution> {
+        let found = self.find(solver, problem);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// The admission-time lookup: counts a hit (and an admission hit),
+    /// but not a miss, since a missed request goes on to a worker whose
+    /// [`ReuseCache::get`] counts it.
+    pub(crate) fn get_at_admission(
+        &self,
+        solver: SolverKind,
+        problem: &RraProblem,
+    ) -> Option<RraSolution> {
+        let found = self.find(solver, problem);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.admission_hits.fetch_add(1, Ordering::Relaxed);
         }
+        found
     }
 
     /// Stores a freshly computed solution.
@@ -282,6 +319,7 @@ impl ReuseCache {
     pub(crate) fn counters(&self) -> ReuseCounters {
         ReuseCounters {
             hits: self.hits.load(Ordering::Relaxed),
+            admission_hits: self.admission_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
@@ -342,6 +380,24 @@ mod tests {
         );
         let counters = c.counters();
         assert_eq!((counters.hits, counters.misses), (1, 1));
+    }
+
+    #[test]
+    fn admission_lookup_counts_hits_but_leaves_misses_to_the_worker() {
+        let c = cache(16);
+        let p = problem(7);
+        assert!(c.get_at_admission(SolverKind::Greedy, &p).is_none());
+        assert_eq!(c.counters(), ReuseCounters::default(), "no miss yet");
+        // The worker's lookup is the one that counts the miss.
+        assert!(c.get(SolverKind::Greedy, &p).is_none());
+        c.put(SolverKind::Greedy, &p, &solution(&p));
+        assert!(c.get_at_admission(SolverKind::Greedy, &p).is_some());
+        assert!(c.get(SolverKind::Greedy, &p).is_some());
+        let counters = c.counters();
+        assert_eq!(
+            (counters.hits, counters.admission_hits, counters.misses),
+            (2, 1, 1)
+        );
     }
 
     #[test]

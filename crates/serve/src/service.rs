@@ -22,6 +22,14 @@
 //! class is ever off its lane, so a full lane still means backpressure.
 //! Every item is answered as soon as its own solve finishes.
 //!
+//! **Reuse hits at admission.** With [`crate::reuse`] enabled, a
+//! cacheable request that passes the shutdown and already-expired checks
+//! is looked up on the submitter's thread, outside the state lock. A hit
+//! is answered there: it is counted admitted and solved, takes no lane
+//! slot (so it is served even when its lane is full), wakes no worker and
+//! gets no robust pre-factor. A miss goes on to its lane, and the worker
+//! looks it up once more before solving (see [`crate::reuse`] for why).
+//!
 //! **Determinism.** A request's solution depends only on its own problem,
 //! solver, and seed — never on batch composition, lane timing, or worker
 //! count. Per-request PSO seeds derive from `seed_stream(base, id)`, so a
@@ -33,7 +41,8 @@
 //! completes; a request whose solve finished late is answered `Expired`,
 //! so a `Solved` response always means solved *within* its deadline.
 //! `queue_time` runs from enqueue to the start of the request's own
-//! solve, so it includes any wait behind batch siblings.
+//! solve, so it includes any wait behind batch siblings. For a hit
+//! answered at admission it is zero, and `solve_time` is the lookup.
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::queue::{AdmissionQueue, EnqueueRejection, QueuePolicy, Queued};
@@ -100,6 +109,14 @@ struct Engine {
 }
 
 impl Engine {
+    /// The reuse cache, if enabled and `solver` is cacheable: what the
+    /// admission lookup in [`Client::submit_with`] consults.
+    fn admission_cache(&self, solver: SolverKind) -> Option<&ReuseCache> {
+        self.reuse.as_ref().filter(|_| reuse::cacheable(solver))
+    }
+
+    /// The worker-side solve. Its lookup still catches a duplicate that
+    /// was admitted before its twin's solution landed in the cache.
     fn solve_one(&self, job: &Job) -> Result<RraSolution, QosError> {
         let (solver, problem) = (job.solver, &job.problem);
         if let Some(cache) = &self.reuse {
@@ -304,8 +321,8 @@ pub struct Client {
 impl Client {
     /// Submits a request and returns a [`Ticket`] for its response.
     /// Admission outcomes (rejected / already-expired / payload
-    /// conversion failure) are decided synchronously and delivered
-    /// through the ticket immediately.
+    /// conversion failure) and reuse hits are decided synchronously and
+    /// delivered through the ticket immediately.
     pub fn submit(&self, request: SolveRequest) -> Ticket {
         let (tx, rx) = mpsc::channel();
         self.submit_with(request, tx);
@@ -357,7 +374,7 @@ impl Client {
             .checked_add(deadline)
             .or_else(|| now.checked_add(EFFECTIVELY_NEVER))
             .unwrap_or(now);
-        let job = Job {
+        let mut job = Job {
             id,
             solver,
             problem,
@@ -371,6 +388,36 @@ impl Client {
             .state
             .lock()
             .expect("serve: state mutex poisoned");
+        // A reuse hit is answered here, after the shutdown and expiry
+        // checks so it never changes an admission outcome, and outside
+        // the state lock so the lookup never holds up the workers.
+        if !state.shutdown && deadline_at > now {
+            if let Some(cache) = self.shared.engine.admission_cache(solver) {
+                drop(state);
+                let started_at = Instant::now();
+                if let Some(solution) = cache.get_at_admission(solver, &job.problem) {
+                    self.count(class, |c| c.admitted += 1);
+                    job.batch_size = 1;
+                    // Enqueued as the lookup starts: no lane wait, and
+                    // the lookup is the whole solve.
+                    answer(
+                        &self.shared,
+                        &job,
+                        class,
+                        started_at,
+                        started_at,
+                        deadline_at,
+                        Ok(solution),
+                    );
+                    return;
+                }
+                state = self
+                    .shared
+                    .state
+                    .lock()
+                    .expect("serve: state mutex poisoned");
+            }
+        }
         if state.shutdown {
             drop(state);
             self.count(class, |c| c.rejected += 1);
@@ -575,11 +622,33 @@ fn solve_and_answer(shared: &Shared, entry: Queued<Job>) {
         shared.engine.solve_one(&entry.item)
     }))
     .unwrap_or_else(|_| Err(QosError::Solver("solver panicked".into())));
+    answer(
+        shared,
+        &entry.item,
+        entry.class,
+        entry.enqueued_at,
+        started_at,
+        entry.deadline_at,
+        result,
+    );
+}
+
+/// Records a finished solve in the metrics and answers it. A solve that
+/// finished past its deadline is answered `Expired`, so "solved ⇒ in
+/// time" holds for worker solves and admission hits alike.
+fn answer(
+    shared: &Shared,
+    job: &Job,
+    class: QosClass,
+    enqueued_at: Instant,
+    started_at: Instant,
+    deadline_at: Instant,
+    result: Result<RraSolution, QosError>,
+) {
     let finished_at = Instant::now();
-    let queue_time = started_at.saturating_duration_since(entry.enqueued_at);
+    let queue_time = started_at.saturating_duration_since(enqueued_at);
     let solve_time = finished_at.saturating_duration_since(started_at);
-    let response_time = finished_at.saturating_duration_since(entry.enqueued_at);
-    let class = entry.class;
+    let response_time = finished_at.saturating_duration_since(enqueued_at);
     let outcome = {
         let mut metrics = shared
             .metrics
@@ -592,18 +661,18 @@ fn solve_and_answer(shared: &Shared, entry: Queued<Job>) {
         match result {
             // The deadline gate: a late solve is reported as expired, so
             // downstream consumers can rely on "solved ⇒ in time".
-            Ok(_) if finished_at > entry.deadline_at => {
+            Ok(_) if finished_at > deadline_at => {
                 metrics.class_mut(class).expired += 1;
                 Outcome::Expired(DeadlineMissed {
                     phase: ExpiryPhase::AfterSolve,
-                    late_by: finished_at.saturating_duration_since(entry.deadline_at),
+                    late_by: finished_at.saturating_duration_since(deadline_at),
                 })
             }
             Ok(solution) => {
                 metrics.class_mut(class).solved += 1;
                 Outcome::Solved(Solved {
                     solution,
-                    batch_size: entry.item.batch_size,
+                    batch_size: job.batch_size,
                 })
             }
             Err(e) => {
@@ -612,8 +681,8 @@ fn solve_and_answer(shared: &Shared, entry: Queued<Job>) {
             }
         }
     };
-    let _ = entry.item.responder.send(SolveResponse {
-        id: entry.item.id,
+    let _ = job.responder.send(SolveResponse {
+        id: job.id,
         class,
         outcome,
         queue_time,
@@ -876,10 +945,207 @@ mod tests {
             other => panic!("expected Solved, got {other:?}"),
         };
         assert_eq!(rate(&first).to_bits(), rate(&second).to_bits());
+        // The second was answered at admission, without a lane or worker.
+        assert_eq!(second.queue_time, Duration::ZERO);
+        assert!(matches!(&second.outcome, Outcome::Solved(s) if s.batch_size == 1));
         let snap = service.shutdown();
         assert_eq!(snap.reuse.hits, 1);
+        assert_eq!(snap.reuse.admission_hits, 1);
         assert_eq!(snap.reuse.misses, 1);
         assert_eq!(snap.reuse.evictions, 0);
+        assert_eq!(snap.class(QosClass::Urllc).admitted, 2);
+        assert_eq!(snap.class(QosClass::Urllc).solved, 2);
+        assert_eq!(snap.response_latency.count, 2);
+        assert_eq!(snap.batches, 1, "the hit formed no batch");
+    }
+
+    fn reuse_config(queue: QueuePolicy) -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            queue,
+            reuse: ReuseConfig {
+                enabled: true,
+                capacity: 64,
+            },
+            ..ServiceConfig::default()
+        }
+    }
+
+    /// A request for an explicit problem, so the same problem (and cache
+    /// key) can be sent under any class.
+    fn problem_request(id: u64, class: QosClass, deadline: Duration) -> SolveRequest {
+        let problem = ScenarioSpec {
+            users: 3,
+            resource_blocks: 6,
+            seed: 77,
+        }
+        .to_problem(QosClass::Urllc)
+        .unwrap();
+        SolveRequest {
+            id,
+            class,
+            deadline,
+            solver: SolverKind::Greedy,
+            payload: Payload::Problem(Box::new(problem)),
+        }
+    }
+
+    /// Spawns a reuse-enabled service and caches [`problem_request`]'s
+    /// problem through one cold URLLC solve.
+    fn service_with_cached_problem(queue: QueuePolicy) -> (Service, Client) {
+        let service = Service::spawn(reuse_config(queue)).unwrap();
+        let client = service.client();
+        let warm = client
+            .solve(problem_request(0, QosClass::Urllc, Duration::from_secs(30)))
+            .unwrap();
+        assert!(matches!(warm.outcome, Outcome::Solved(_)));
+        (service, client)
+    }
+
+    #[test]
+    fn admission_hit_does_not_wait_for_a_worker() {
+        // One worker, busy with a full mMTC batch of cold Greedy solves.
+        // A request whose problem is cached is answered before its
+        // submit returns, ahead of the batch's remaining items.
+        let batch = 8u64;
+        let config = reuse_config(QueuePolicy {
+            mmtc: LanePolicy {
+                capacity: 64,
+                max_batch: batch as usize,
+                max_age: Duration::from_secs(10),
+            },
+            ..QueuePolicy::default()
+        });
+        let service = Service::spawn(config).unwrap();
+        let client = service.client();
+        let (tx, rx) = mpsc::channel();
+        let submit_batch = |first_id: u64| {
+            for i in first_id..first_id + batch {
+                client.submit_with(
+                    spec_request(i, QosClass::Mmtc, Duration::from_secs(30)),
+                    tx.clone(),
+                );
+            }
+        };
+        // The first batch fills the cache.
+        submit_batch(0);
+        assert_eq!(rx.iter().take(batch as usize).count(), batch as usize);
+        // The second batch is cold; it is being solved once its first
+        // answer is out.
+        submit_batch(100);
+        let first = rx.recv().unwrap();
+        assert!(first.id >= 100);
+        let hit_id = 3;
+        client.submit_with(
+            spec_request(hit_id, QosClass::Mmtc, Duration::from_secs(30)),
+            tx,
+        );
+        // Answered synchronously: already in the channel, behind at most
+        // the batch items that finished meanwhile.
+        let ready: Vec<SolveResponse> = rx.try_iter().collect();
+        let hit = ready
+            .iter()
+            .find(|r| r.id == hit_id)
+            .expect("the hit is answered before submit returns");
+        let mmtc_before = 1 + ready.iter().filter(|r| r.id >= 100).count();
+        assert!(
+            mmtc_before < batch as usize / 2,
+            "hit answered after {mmtc_before} of {batch} batch items"
+        );
+        assert_eq!(hit.queue_time, Duration::ZERO);
+        match &hit.outcome {
+            Outcome::Solved(s) => assert_eq!(s.batch_size, 1),
+            other => panic!("expected Solved, got {other:?}"),
+        }
+        let snap = service.shutdown();
+        assert_eq!(snap.batches, 2, "the hit formed no batch");
+        assert_eq!(snap.reuse.admission_hits, 1);
+        assert_eq!(snap.reuse.hits, 1);
+        // Every cacheable request counted once: 16 cold, 1 hit.
+        assert_eq!(snap.reuse.misses, 2 * batch);
+        assert_eq!(snap.class(QosClass::Mmtc).admitted, 2 * batch + 1);
+        assert_eq!(snap.class(QosClass::Mmtc).solved, 2 * batch + 1);
+    }
+
+    #[test]
+    fn cached_problem_with_zero_deadline_still_expires_at_enqueue() {
+        let (service, client) = service_with_cached_problem(QueuePolicy::default());
+        let resp = client
+            .solve(problem_request(1, QosClass::Embb, Duration::ZERO))
+            .unwrap();
+        assert!(
+            matches!(
+                resp.outcome,
+                Outcome::Expired(DeadlineMissed {
+                    phase: ExpiryPhase::AtEnqueue,
+                    ..
+                })
+            ),
+            "{:?}",
+            resp.outcome
+        );
+        let snap = service.shutdown();
+        assert_eq!(snap.class(QosClass::Embb).expired, 1);
+        assert_eq!(snap.class(QosClass::Embb).admitted, 0);
+        assert_eq!(snap.reuse.hits, 0, "no lookup for an expired request");
+    }
+
+    #[test]
+    fn cached_problem_after_shutdown_is_still_rejected() {
+        let (service, client) = service_with_cached_problem(QueuePolicy::default());
+        let snap = service.shutdown();
+        assert_eq!(snap.reuse.misses, 1);
+        let resp = client
+            .solve(problem_request(1, QosClass::Urllc, Duration::from_secs(30)))
+            .unwrap();
+        assert!(matches!(
+            resp.outcome,
+            Outcome::Rejected(RejectReason::ShuttingDown)
+        ));
+        assert_eq!(client.metrics().reuse.hits, 0);
+        assert_eq!(client.metrics().class(QosClass::Urllc).rejected, 1);
+    }
+
+    #[test]
+    fn cached_problem_is_served_when_its_lane_is_full() {
+        // A capacity-1 mMTC lane held full by one cold request that
+        // waits out a long age trigger.
+        let (service, client) = service_with_cached_problem(QueuePolicy {
+            mmtc: LanePolicy {
+                capacity: 1,
+                max_batch: 8,
+                max_age: Duration::from_secs(10),
+            },
+            ..QueuePolicy::default()
+        });
+        let held = client.submit(spec_request(1, QosClass::Mmtc, Duration::from_secs(30)));
+        let cold = client
+            .solve(spec_request(2, QosClass::Mmtc, Duration::from_secs(30)))
+            .unwrap();
+        assert!(
+            matches!(
+                cold.outcome,
+                Outcome::Rejected(RejectReason::QueueFull { capacity: 1, .. })
+            ),
+            "{:?}",
+            cold.outcome
+        );
+        let hit = client
+            .solve(problem_request(3, QosClass::Mmtc, Duration::from_secs(30)))
+            .unwrap();
+        assert!(
+            matches!(hit.outcome, Outcome::Solved(_)),
+            "{:?}",
+            hit.outcome
+        );
+        assert_eq!(hit.queue_time, Duration::ZERO);
+        // Shutdown drains the held request.
+        let snap = service.shutdown();
+        assert!(matches!(held.wait().unwrap().outcome, Outcome::Solved(_)));
+        let mmtc = snap.class(QosClass::Mmtc);
+        assert_eq!((mmtc.admitted, mmtc.rejected, mmtc.solved), (2, 1, 2));
+        assert_eq!(snap.lane_high_water(QosClass::Mmtc), 1);
+        assert_eq!(snap.reuse.admission_hits, 1);
     }
 
     #[test]

@@ -310,8 +310,11 @@ pub fn encode_metrics(snapshot: &MetricsSnapshot) -> String {
     out.push_str(&lat("solve_latency", &snapshot.solve_latency));
     out.push_str(&lat("response_latency", &snapshot.response_latency));
     out.push_str(&format!(
-        ",\"reuse\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-        snapshot.reuse.hits, snapshot.reuse.misses, snapshot.reuse.evictions
+        ",\"reuse\":{{\"hits\":{},\"admission_hits\":{},\"misses\":{},\"evictions\":{}}}",
+        snapshot.reuse.hits,
+        snapshot.reuse.admission_hits,
+        snapshot.reuse.misses,
+        snapshot.reuse.evictions
     ));
     out.push_str(&format!(
         ",\"queue_depth_high_water\":{},\"batches\":{}}}",
@@ -735,6 +738,8 @@ mod tests {
         let mut snapshot = MetricsSnapshot::default();
         snapshot.per_class[0].solved = 5;
         snapshot.lane_depth_high_water = [3, 0, 7];
+        snapshot.reuse.hits = 9;
+        snapshot.reuse.admission_hits = 6;
         snapshot.per_class_response_latency[0] = crate::metrics::LatencySummary {
             count: 5,
             p50: Duration::from_micros(64),
@@ -768,6 +773,13 @@ mod tests {
             .and_then(JsonValue::as_object)
             .expect("mMTC block");
         assert_eq!(mmtc.get_u64("lane_depth_high_water"), Some(7));
+        let reuse = obj
+            .get("reuse")
+            .and_then(JsonValue::as_object)
+            .expect("reuse block");
+        assert_eq!(reuse.get_u64("hits"), Some(9));
+        assert_eq!(reuse.get_u64("admission_hits"), Some(6));
+        assert_eq!(reuse.get_u64("misses"), Some(0));
     }
 
     #[test]
